@@ -13,7 +13,7 @@
 use std::time::Instant;
 
 use authdb_bench::{banner, csv_begin, csv_end, env_jobs, fmt_time};
-use authdb_core::adversary::{run_catalog, Conformance};
+use authdb_core::adversary::{run_catalog, Conformance, Tamper};
 use authdb_core::da::{DaConfig, DataAggregator, SigningMode};
 use authdb_core::qs::QueryServer;
 use authdb_core::record::Schema;
@@ -22,7 +22,7 @@ use authdb_crypto::signer::SchemeKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn print_catalog(label: &str, results: &[Conformance]) -> bool {
+fn print_catalog(label: &str, results: &[Conformance<Tamper>]) -> bool {
     println!("\nTamper catalog under {label}:");
     println!(
         "{:<26} | {:>9} | {:<40} | {:>4}",

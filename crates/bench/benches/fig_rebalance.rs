@@ -22,7 +22,7 @@
 use std::time::Instant;
 
 use authdb_bench::{banner, csv_begin, csv_end, env_jobs, fmt_time};
-use authdb_core::adversary::{run_rebalance_catalog, RebalanceConformance};
+use authdb_core::adversary::{run_rebalance_catalog, Conformance, RebalanceTamper};
 use authdb_core::da::{DaConfig, SigningMode};
 use authdb_core::qs::QsOptions;
 use authdb_core::record::Schema;
@@ -46,7 +46,7 @@ fn bas_cfg() -> DaConfig {
     }
 }
 
-fn print_catalog(label: &str, results: &[RebalanceConformance]) -> bool {
+fn print_catalog(label: &str, results: &[Conformance<RebalanceTamper>]) -> bool {
     println!("\nRebalancing tamper catalog under {label}:");
     println!(
         "{:<20} | {:>9} | {:<44} | {:>4}",

@@ -21,7 +21,7 @@
 use std::time::Instant;
 
 use authdb_bench::{banner, csv_begin, csv_end, env_jobs, fmt_time};
-use authdb_core::adversary::{run_shard_catalog, ShardConformance};
+use authdb_core::adversary::{run_shard_catalog, Conformance, ShardTamper};
 use authdb_core::da::{DaConfig, DataAggregator, SigningMode};
 use authdb_core::qs::{AggCacheConfig, CacheDistribution, QsOptions, QueryServer};
 use authdb_core::record::Schema;
@@ -35,7 +35,7 @@ use rand::SeedableRng;
 const N: i64 = 2_048;
 const KEY_STRIDE: i64 = 10;
 
-fn print_catalog(label: &str, results: &[ShardConformance]) -> bool {
+fn print_catalog(label: &str, results: &[Conformance<ShardTamper>]) -> bool {
     println!("\nCross-shard tamper catalog under {label}:");
     println!(
         "{:<22} | {:>9} | {:<44} | {:>4}",

@@ -125,8 +125,15 @@ impl Tamper {
         }
     }
 
-    /// Whether `err` is the rejection this strategy must produce.
-    pub fn expects(self, err: &VerifyError) -> bool {
+    /// Whether the strategy tampers with projection answers (the rest work
+    /// on selections).
+    pub fn targets_projection(self) -> bool {
+        matches!(self, Tamper::ForgeProjectionValue | Tamper::StaleProjection)
+    }
+}
+
+impl Strategy for Tamper {
+    fn expects(self, err: &VerifyError) -> bool {
         use VerifyError::*;
         match self {
             Tamper::DropRecord
@@ -148,12 +155,6 @@ impl Tamper {
             Tamper::TruncateBitmap => matches!(err, BadSummarySignature { .. }),
             Tamper::ReplayVacancy => matches!(err, StaleVacancy { .. }),
         }
-    }
-
-    /// Whether the strategy tampers with projection answers (the rest work
-    /// on selections).
-    pub fn targets_projection(self) -> bool {
-        matches!(self, Tamper::ForgeProjectionValue | Tamper::StaleProjection)
     }
 }
 
@@ -309,19 +310,27 @@ impl MaliciousServer {
     }
 }
 
-/// Outcome of one catalog entry.
-pub struct Conformance {
+/// A family of attack strategies, each naming the typed rejection the
+/// verifier must produce for it.
+pub trait Strategy: Copy {
+    /// Whether `err` is the rejection this strategy must produce.
+    fn expects(self, err: &VerifyError) -> bool;
+}
+
+/// Outcome of one catalog entry of any strategy family.
+pub struct Conformance<S> {
     /// The strategy exercised.
-    pub tamper: Tamper,
-    /// Whether the honest answer to the same query verified.
+    pub tamper: S,
+    /// Whether the honest counterpart (answer, transition or bootstrap
+    /// bundle) was accepted.
     pub honest_ok: bool,
-    /// What the verifier said about the tampered answer.
+    /// What the verifier said about the tampered artifact.
     pub outcome: Result<VerifyReport, VerifyError>,
 }
 
-impl Conformance {
-    /// Tampered answer rejected with the expected error AND honest answer
-    /// accepted.
+impl<S: Strategy> Conformance<S> {
+    /// Tampered artifact rejected with the expected error AND the honest
+    /// counterpart accepted.
     pub fn ok(&self) -> bool {
         self.honest_ok
             && match &self.outcome {
@@ -384,7 +393,7 @@ fn run_timeline(da: &mut DataAggregator, mal: &mut MaliciousServer) {
 }
 
 /// Run one selection-catalog scenario.
-fn selection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
+fn selection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance<Tamper> {
     let (mut da, mut mal, v) = system(scheme, SigningMode::Chained, 40, tamper);
     // The query each strategy answers (and is judged against).
     let (lo, hi) = match tamper {
@@ -413,7 +422,7 @@ fn selection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
 }
 
 /// Run the empty-table replay scenario.
-fn vacancy_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
+fn vacancy_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance<Tamper> {
     let (mut da, mut mal, v) = system(scheme, SigningMode::Chained, 0, tamper);
     // Hoard the pre-insert vacancy answer...
     mal.capture_selection(0, 100);
@@ -438,7 +447,7 @@ fn vacancy_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
 }
 
 /// Run one projection-catalog scenario.
-fn projection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
+fn projection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance<Tamper> {
     let (mut da, mut mal, v) = system(scheme, SigningMode::PerAttribute, 40, tamper);
     if tamper == Tamper::StaleProjection {
         mal.capture_projection(100, 300, &[0, 1]);
@@ -459,7 +468,7 @@ fn projection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
 /// Run every catalog strategy under `scheme`, returning one outcome per
 /// strategy. Used by the unit-test conformance suite and the `fig_adv`
 /// bench scenario.
-pub fn run_catalog(scheme: SchemeKind) -> Vec<Conformance> {
+pub fn run_catalog(scheme: SchemeKind) -> Vec<Conformance<Tamper>> {
     Tamper::CATALOG
         .iter()
         .map(|&t| {
@@ -519,9 +528,10 @@ impl ShardTamper {
             ShardTamper::SummarySwap => "summary-swap",
         }
     }
+}
 
-    /// Whether `err` is the rejection this strategy must produce.
-    pub fn expects(self, err: &VerifyError) -> bool {
+impl Strategy for ShardTamper {
+    fn expects(self, err: &VerifyError) -> bool {
         use VerifyError::*;
         match self {
             // The moved record's key is outside the receiving shard's
@@ -635,32 +645,10 @@ impl MaliciousShardedServer {
     }
 }
 
-/// Outcome of one cross-shard catalog entry.
-pub struct ShardConformance {
-    /// The strategy exercised.
-    pub tamper: ShardTamper,
-    /// Whether the honest fan-out to the same query verified.
-    pub honest_ok: bool,
-    /// What the verifier said about the tampered answer.
-    pub outcome: Result<VerifyReport, VerifyError>,
-}
-
-impl ShardConformance {
-    /// Tampered answer rejected with the expected error AND honest answer
-    /// accepted.
-    pub fn ok(&self) -> bool {
-        self.honest_ok
-            && match &self.outcome {
-                Ok(_) => false,
-                Err(e) => self.tamper.expects(e),
-            }
-    }
-}
-
 /// Run one cross-shard scenario: two shards split at key 200, a query
 /// straddling the seam, and the shared three-period timeline with an
 /// update landing in shard 1.
-fn shard_scenario(scheme: SchemeKind, tamper: ShardTamper) -> ShardConformance {
+fn shard_scenario(scheme: SchemeKind, tamper: ShardTamper) -> Conformance<ShardTamper> {
     let mut rng = StdRng::seed_from_u64(1337);
     let mut sa = ShardedAggregator::new(cfg(scheme, SigningMode::Chained), vec![200], &mut rng);
     let boots = sa.bootstrap((0..40).map(|i| vec![i * 10, i]).collect(), 2);
@@ -712,7 +700,7 @@ fn shard_scenario(scheme: SchemeKind, tamper: ShardTamper) -> ShardConformance {
     let honest_ok = v
         .verify_sharded_selection(lo, hi, &honest, &view, now, true, &mut rng)
         .is_ok();
-    ShardConformance {
+    Conformance {
         tamper,
         honest_ok,
         outcome,
@@ -722,7 +710,7 @@ fn shard_scenario(scheme: SchemeKind, tamper: ShardTamper) -> ShardConformance {
 /// Run every cross-shard strategy under `scheme`, one outcome per
 /// strategy. Used by the unit-test conformance suite and the `fig_shard`
 /// bench scenario.
-pub fn run_shard_catalog(scheme: SchemeKind) -> Vec<ShardConformance> {
+pub fn run_shard_catalog(scheme: SchemeKind) -> Vec<Conformance<ShardTamper>> {
     ShardTamper::CATALOG
         .iter()
         .map(|&t| shard_scenario(scheme, t))
@@ -773,9 +761,10 @@ impl RebalanceTamper {
             RebalanceTamper::TransitionBreak => "transition-break",
         }
     }
+}
 
-    /// Whether `err` is the rejection this strategy must produce.
-    pub fn expects(self, err: &VerifyError) -> bool {
+impl Strategy for RebalanceTamper {
+    fn expects(self, err: &VerifyError) -> bool {
         use VerifyError::*;
         match self {
             RebalanceTamper::StaleEpochReplay => matches!(err, StaleEpoch { .. }),
@@ -787,33 +776,11 @@ impl RebalanceTamper {
     }
 }
 
-/// Outcome of one rebalancing catalog entry.
-pub struct RebalanceConformance {
-    /// The strategy exercised.
-    pub tamper: RebalanceTamper,
-    /// Whether the honest answer (or honest transition) was accepted.
-    pub honest_ok: bool,
-    /// What the verifier said about the tampered artifact.
-    pub outcome: Result<VerifyReport, VerifyError>,
-}
-
-impl RebalanceConformance {
-    /// Tampered artifact rejected with the expected error AND the honest
-    /// counterpart accepted.
-    pub fn ok(&self) -> bool {
-        self.honest_ok
-            && match &self.outcome {
-                Ok(_) => false,
-                Err(e) => self.tamper.expects(e),
-            }
-    }
-}
-
 /// Run one rebalancing scenario: a 2-shard deployment (split at 200) runs
 /// the shared three-period timeline, then the DA splits shard 1 at key 300
 /// (epoch 1 → 2). The strategy attacks the transition or the first
 /// post-transition answers.
-fn rebalance_scenario(scheme: SchemeKind, tamper: RebalanceTamper) -> RebalanceConformance {
+fn rebalance_scenario(scheme: SchemeKind, tamper: RebalanceTamper) -> Conformance<RebalanceTamper> {
     let mut rng = StdRng::seed_from_u64(1337);
     let mut sa = ShardedAggregator::new(cfg(scheme, SigningMode::Chained), vec![200], &mut rng);
     let boots = sa.bootstrap((0..40).map(|i| vec![i * 10, i]).collect(), 2);
@@ -869,7 +836,7 @@ fn rebalance_scenario(scheme: SchemeKind, tamper: RebalanceTamper) -> RebalanceC
             records: 0,
         });
         let honest_ok = view.advance(&rb.transition, &pp).is_ok();
-        return RebalanceConformance {
+        return Conformance {
             tamper,
             honest_ok,
             outcome,
@@ -915,7 +882,7 @@ fn rebalance_scenario(scheme: SchemeKind, tamper: RebalanceTamper) -> RebalanceC
     let honest_ok = v
         .verify_sharded_selection(lo, hi, &honest, &view, now, true, &mut rng)
         .is_ok();
-    RebalanceConformance {
+    Conformance {
         tamper,
         honest_ok,
         outcome,
@@ -925,7 +892,7 @@ fn rebalance_scenario(scheme: SchemeKind, tamper: RebalanceTamper) -> RebalanceC
 /// Run every rebalancing strategy under `scheme`, one outcome per
 /// strategy. Used by the unit-test conformance suite and the
 /// `fig_rebalance` bench scenario.
-pub fn run_rebalance_catalog(scheme: SchemeKind) -> Vec<RebalanceConformance> {
+pub fn run_rebalance_catalog(scheme: SchemeKind) -> Vec<Conformance<RebalanceTamper>> {
     RebalanceTamper::CATALOG
         .iter()
         .map(|&t| rebalance_scenario(scheme, t))
@@ -978,17 +945,6 @@ impl CheckpointTamper {
         }
     }
 
-    /// Whether `err` is the rejection this strategy must produce.
-    pub fn expects(self, err: &VerifyError) -> bool {
-        use VerifyError::*;
-        match self {
-            CheckpointTamper::ForgedDigest
-            | CheckpointTamper::WrongEpochReplay
-            | CheckpointTamper::ChainBreakBootstrap => matches!(err, BadCheckpoint),
-            CheckpointTamper::GapStraddlingCut => matches!(err, CheckpointGap { .. }),
-        }
-    }
-
     /// Whether the strategy attacks the client-bootstrap bundle (the rest
     /// doctor checkpoint-anchored answers).
     pub fn targets_bootstrap(self) -> bool {
@@ -999,25 +955,15 @@ impl CheckpointTamper {
     }
 }
 
-/// Outcome of one checkpoint catalog entry.
-pub struct CheckpointConformance {
-    /// The strategy exercised.
-    pub tamper: CheckpointTamper,
-    /// Whether the honest answer (or honest bootstrap bundle) was accepted.
-    pub honest_ok: bool,
-    /// What the verifier said about the tampered artifact.
-    pub outcome: Result<VerifyReport, VerifyError>,
-}
-
-impl CheckpointConformance {
-    /// Tampered artifact rejected with the expected error AND the honest
-    /// counterpart accepted.
-    pub fn ok(&self) -> bool {
-        self.honest_ok
-            && match &self.outcome {
-                Ok(_) => false,
-                Err(e) => self.tamper.expects(e),
-            }
+impl Strategy for CheckpointTamper {
+    fn expects(self, err: &VerifyError) -> bool {
+        use VerifyError::*;
+        match self {
+            CheckpointTamper::ForgedDigest
+            | CheckpointTamper::WrongEpochReplay
+            | CheckpointTamper::ChainBreakBootstrap => matches!(err, BadCheckpoint),
+            CheckpointTamper::GapStraddlingCut => matches!(err, CheckpointGap { .. }),
+        }
     }
 }
 
@@ -1028,7 +974,7 @@ impl CheckpointConformance {
 fn checkpoint_answer_scenario(
     scheme: SchemeKind,
     tamper: CheckpointTamper,
-) -> CheckpointConformance {
+) -> Conformance<CheckpointTamper> {
     let mut rng = StdRng::seed_from_u64(1337);
     let mut da = DataAggregator::new(cfg(scheme, SigningMode::Chained), &mut rng);
     let boot = da.bootstrap((0..40).map(|i| vec![i * 10, i]).collect(), 2);
@@ -1076,7 +1022,7 @@ fn checkpoint_answer_scenario(
         _ => unreachable!("bootstrap tampers do not doctor answers"),
     }
     let outcome = v.verify_selection(100, 300, &tampered, now, true);
-    CheckpointConformance {
+    Conformance {
         tamper,
         honest_ok,
         outcome,
@@ -1090,7 +1036,7 @@ fn checkpoint_answer_scenario(
 fn checkpoint_bootstrap_scenario(
     scheme: SchemeKind,
     tamper: CheckpointTamper,
-) -> CheckpointConformance {
+) -> Conformance<CheckpointTamper> {
     let mut rng = StdRng::seed_from_u64(1337);
     let mut sa = ShardedAggregator::new(cfg(scheme, SigningMode::Chained), vec![200], &mut rng);
     let boots = sa.bootstrap((0..40).map(|i| vec![i * 10, i]).collect(), 2);
@@ -1119,7 +1065,7 @@ fn checkpoint_bootstrap_scenario(
         max_staleness: 0,
         records: 0,
     });
-    CheckpointConformance {
+    Conformance {
         tamper,
         honest_ok,
         outcome,
@@ -1129,7 +1075,7 @@ fn checkpoint_bootstrap_scenario(
 /// Run every checkpoint strategy under `scheme`, one outcome per strategy.
 /// Used by the unit-test conformance suite and the `fig_checkpoint` bench
 /// scenario.
-pub fn run_checkpoint_catalog(scheme: SchemeKind) -> Vec<CheckpointConformance> {
+pub fn run_checkpoint_catalog(scheme: SchemeKind) -> Vec<Conformance<CheckpointTamper>> {
     CheckpointTamper::CATALOG
         .iter()
         .map(|&t| {

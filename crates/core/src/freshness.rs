@@ -166,11 +166,6 @@ impl UpdateSummary {
     pub fn bitmap(&self) -> Option<Bitmap> {
         decompress(&self.compressed)
     }
-
-    /// Wire size: compressed bitmap + header + signature.
-    pub fn size_bytes(&self, pp: &PublicParams) -> usize {
-        self.compressed.len() + 32 + pp.wire_len()
-    }
 }
 
 /// Certified claim that the relation held **zero records** at `ts`: the
@@ -342,11 +337,6 @@ impl SummaryCheckpoint {
             .max()
             .filter(|&e| e > 0)
             .map(|e| e - 1)
-    }
-
-    /// Wire size: exposure map + header + signature.
-    pub fn size_bytes(&self, pp: &PublicParams) -> usize {
-        8 * self.exposure.len() + 45 + pp.wire_len()
     }
 }
 

@@ -21,7 +21,8 @@
 //!   [`qs::QueryServer::select_range`] via [`qs::AggCacheConfig`].
 //! * [`wire`] — canonical wire codecs for every proof-carrying type and
 //!   the QS request/response protocol (served over TCP by `authdb-net`).
-//! * [`locks`] — two-phase-locking lock manager (Section 5.1).
+//! * [`locks`] — two-phase-locking lock manager (Section 5.1), kept for
+//!   the lock-granularity comparison in `tests/concurrency.rs`.
 
 pub mod adversary;
 pub mod da;

@@ -37,6 +37,7 @@ use parking_lot::Mutex;
 use authdb_crypto::signer::{PublicParams, Signature};
 use authdb_index::{new_asign_with_cache, ASignTree, RangeEvent, DEFAULT_NODE_CACHE};
 use authdb_storage::{BufferPool, Disk, HeapFile, IoStats, PoolStats};
+use authdb_wire::WireEncode;
 
 use crate::da::{Bootstrap, SigningMode, UpdateKind, UpdateMsg};
 use crate::freshness::{EmptyTableProof, SummaryCheckpoint, UpdateSummary};
@@ -185,24 +186,29 @@ pub struct SelectionAnswer {
 }
 
 impl SelectionAnswer {
-    /// VO wire size in bytes: aggregate signature + two boundary keys
-    /// (+ gap/vacancy proof), excluding the summaries (amortized per
-    /// Section 5.3).
-    pub fn vo_size(&self, pp: &PublicParams) -> usize {
-        let mut size = pp.wire_len() + 16;
-        if let Some(g) = &self.gap {
-            // rid + ts + attrs + the two neighbour keys.
-            size += 16 + 8 * g.record.attrs.len() + 16;
-        }
-        if self.vacancy.is_some() {
-            size += 8 + pp.wire_len();
-        }
-        size
+    /// Verification-object size: the bytes this answer puts on the wire
+    /// that are neither its records, its attached summaries (amortized
+    /// across answers per Section 5.3) nor its summary checkpoint — the
+    /// aggregate signature, the boundary keys, any gap or vacancy proof,
+    /// and the collection and presence headers. It is read off the
+    /// encoding, which already reflects the signature scheme, so `_pp` is
+    /// unused.
+    pub fn vo_size(&self, _pp: &PublicParams) -> usize {
+        self.encoded_len() - self.payload_len()
     }
 
-    /// Total size of the attached summaries.
-    pub fn summaries_size(&self, pp: &PublicParams) -> usize {
-        self.summaries.iter().map(|s| s.size_bytes(pp)).sum()
+    /// Encoded bytes of the records, summaries and checkpoint.
+    pub(crate) fn payload_len(&self) -> usize {
+        self.records
+            .iter()
+            .map(WireEncode::encoded_len)
+            .sum::<usize>()
+            + self
+                .summaries
+                .iter()
+                .map(|s| s.encoded_len())
+                .sum::<usize>()
+            + self.checkpoint.as_ref().map_or(0, WireEncode::encoded_len)
     }
 }
 
@@ -232,9 +238,18 @@ pub struct ProjectionAnswer {
 }
 
 impl ProjectionAnswer {
-    /// VO wire size: exactly one aggregate signature.
-    pub fn vo_size(&self, pp: &PublicParams) -> usize {
-        pp.wire_len()
+    /// Verification-object size: the encoded bytes that are neither
+    /// projected rows nor attached summaries — one aggregate signature and
+    /// two collection headers, whatever the row and attribute counts (see
+    /// [`SelectionAnswer::vo_size`]; `_pp` is unused).
+    pub fn vo_size(&self, _pp: &PublicParams) -> usize {
+        self.encoded_len()
+            - self.rows.iter().map(WireEncode::encoded_len).sum::<usize>()
+            - self
+                .summaries
+                .iter()
+                .map(|s| s.encoded_len())
+                .sum::<usize>()
     }
 }
 
@@ -1126,7 +1141,12 @@ mod tests {
         let ans = qs.project(0, 100, &[1]).unwrap();
         assert_eq!(ans.rows.len(), 11);
         assert!(ans.rows.iter().all(|r| r.values.len() == 1));
-        assert_eq!(ans.vo_size(&pp), pp.wire_len());
+        // One aggregate signature whatever the row and attribute counts.
+        let wider = qs.project(0, 200, &[0, 1]).unwrap();
+        assert!(wider.rows.len() > ans.rows.len());
+        assert_eq!(ans.vo_size(&pp), wider.vo_size(&pp));
+        // The signature plus the row and summary counts.
+        assert_eq!(ans.vo_size(&pp), ans.agg.encoded_len() + 8);
     }
 
     #[test]

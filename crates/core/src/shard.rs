@@ -102,17 +102,16 @@
 //! suite checks that a rebalancing deployment stays observably equivalent
 //! to a single server across random split/merge schedules.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
 use authdb_crypto::sha256::{sha256, Digest};
 use authdb_crypto::signer::{Keypair, PublicParams, Signature};
+use authdb_wire::WireEncode;
 
 use crate::da::{Bootstrap, DaConfig, DataAggregator, SigningMode, UpdateMsg};
 use crate::freshness::{EmptyTableProof, SummaryCheckpoint, UpdateSummary};
-use crate::locks::{LockManager, LockMode, WHOLE_INDEX};
 use crate::qs::{QsOptions, QueryError, QueryServer, SelectionAnswer};
 use crate::record::{Record, Schema, Tick, KEY_NEG_INF, KEY_POS_INF};
 
@@ -976,14 +975,16 @@ pub struct ShardedSelectionAnswer {
 }
 
 impl ShardedSelectionAnswer {
-    /// Total VO wire size across parts (plus the map itself).
-    pub fn vo_size(&self, pp: &PublicParams) -> usize {
-        let map_size = 8 + 8 * self.map.splits().len() + pp.wire_len();
-        map_size
-            + self
+    /// Verification-object size: the encoded bytes that are not the
+    /// parts' records, summaries or checkpoints — the certified map, the
+    /// shard indexes and every part's own VO (see
+    /// [`SelectionAnswer::vo_size`]; `_pp` is unused).
+    pub fn vo_size(&self, _pp: &PublicParams) -> usize {
+        self.encoded_len()
+            - self
                 .parts
                 .iter()
-                .map(|p| p.answer.vo_size(pp))
+                .map(|p| p.answer.payload_len())
                 .sum::<usize>()
     }
 }
@@ -1036,12 +1037,12 @@ struct EpochSnapshot {
 ///   new snapshot — so a returned proof is always single-epoch and honest
 ///   queries are never *rejected* by a concurrent rebalance, merely
 ///   restarted.
-/// * **Writers** ([`Self::apply`], [`Self::add_summary`]) are ordered by
-///   the strict-2PL [`LockManager`]: shared on [`WHOLE_INDEX`] plus
-///   exclusive on their shard's resource, then the slot's write lock. They
-///   never touch the snapshot pointer — in-epoch updates are invisible to
-///   the fan-out structure.
-/// * **Rebalance** takes [`WHOLE_INDEX`] exclusively (draining in-flight
+/// * **Writers** ([`Self::apply`], [`Self::add_summary`],
+///   [`Self::apply_checkpoint`]) hold the rebalance gate shared, then
+///   their slot's write lock, which is what orders writers to one shard.
+///   They never touch the snapshot pointer — in-epoch updates are
+///   invisible to the fan-out structure.
+/// * **Rebalance** holds the gate exclusively (draining in-flight
 ///   writers, excluding new ones), validates the package against the
 ///   pinned snapshot, retags survivor slots under their write locks, builds
 ///   fresh slots for handed-off shards, and publishes the new epoch with
@@ -1052,8 +1053,8 @@ pub struct ShardedQueryServer {
     mode: SigningMode,
     opts: QsOptions,
     snapshot: Mutex<Arc<EpochSnapshot>>,
-    locks: LockManager,
-    next_txn: AtomicU64,
+    /// Shared by per-shard writers, exclusive for an epoch transition.
+    rebalance_gate: RwLock<()>,
 }
 
 impl ShardedQueryServer {
@@ -1098,8 +1099,7 @@ impl ShardedQueryServer {
                 transitions: Vec::new(),
                 checkpoint: None,
             })),
-            locks: LockManager::new(),
-            next_txn: AtomicU64::new(1),
+            rebalance_gate: RwLock::new(()),
         }
     }
 
@@ -1108,11 +1108,6 @@ impl ShardedQueryServer {
     /// view.
     fn current(&self) -> Arc<EpochSnapshot> {
         self.snapshot.lock().clone()
-    }
-
-    /// A fresh writer-transaction id for the 2PL lock manager.
-    fn txn(&self) -> u64 {
-        self.next_txn.fetch_add(1, Ordering::Relaxed)
     }
 
     /// The partition this server follows (a copy of the certified map —
@@ -1145,14 +1140,11 @@ impl ShardedQueryServer {
     /// whose freshness window reaches past the cut ship the checkpoint as
     /// their run anchor.
     pub fn apply_checkpoint(&self, shard: usize, ckpt: SummaryCheckpoint) {
-        let txn = self.txn();
-        self.locks.acquire(txn, WHOLE_INDEX, LockMode::Shared);
-        self.locks.acquire(txn, shard as u64, LockMode::Exclusive);
+        let _gate = self.rebalance_gate.read();
         self.current().shards[shard]
             .qs
             .write()
             .apply_checkpoint(ckpt);
-        self.locks.release_all(txn);
     }
 
     /// Cross one epoch transition in place: validate the package's shape
@@ -1172,16 +1164,13 @@ impl ShardedQueryServer {
         if self.mode != SigningMode::Chained {
             return Err(QueryError::Unsupported);
         }
-        // An epoch transition is the one whole-index writer: take the root
+        // An epoch transition is the one whole-index writer: take the gate
         // exclusively, draining in-flight per-shard writers and excluding
         // new ones until the new snapshot is published. Readers are not
         // blocked — they keep serving the pinned epoch and restart if they
         // observe the swap mid-query.
-        let txn = self.txn();
-        self.locks.acquire(txn, WHOLE_INDEX, LockMode::Exclusive);
-        let result = self.apply_rebalance_locked(rb);
-        self.locks.release_all(txn);
-        result
+        let _gate = self.rebalance_gate.write();
+        self.apply_rebalance_locked(rb)
     }
 
     fn apply_rebalance_locked(&self, rb: &Rebalance) -> Result<(), QueryError> {
@@ -1288,26 +1277,18 @@ impl ShardedQueryServer {
         f(&self.current().shards[i].qs.read())
     }
 
-    /// Apply a routed update message. Writer ordering is the lock
-    /// manager's: shared on the root (so an epoch transition drains us),
-    /// exclusive on the shard's record of resources, strict-2PL released on
-    /// return.
+    /// Apply a routed update message: the rebalance gate shared (so an
+    /// epoch transition drains us), then the shard's slot write lock.
     pub fn apply(&self, shard: usize, msg: &UpdateMsg) {
-        let txn = self.txn();
-        self.locks.acquire(txn, WHOLE_INDEX, LockMode::Shared);
-        self.locks.acquire(txn, shard as u64, LockMode::Exclusive);
+        let _gate = self.rebalance_gate.read();
         self.current().shards[shard].qs.write().apply(msg);
-        self.locks.release_all(txn);
     }
 
     /// Store a shard's newly published summary (same writer ordering as
     /// [`Self::apply`]).
     pub fn add_summary(&self, shard: usize, s: UpdateSummary) {
-        let txn = self.txn();
-        self.locks.acquire(txn, WHOLE_INDEX, LockMode::Shared);
-        self.locks.acquire(txn, shard as u64, LockMode::Exclusive);
+        let _gate = self.rebalance_gate.read();
         self.current().shards[shard].qs.write().add_summary(s);
-        self.locks.release_all(txn);
     }
 
     /// Proof-construction statistics aggregated across every shard, so a

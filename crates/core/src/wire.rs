@@ -17,29 +17,20 @@
 //!    (attribute arity, attribute index bounds) are the verifier's job
 //!    ([`crate::verify::VerifyError::MalformedRecord`]).
 //!
-//! Layouts (field order = struct order unless noted):
+//! Every plain struct's layout is its `wire_struct!` declaration below:
+//! the fields in the order listed, each by its type's own codec or by the
+//! adapter named after `as`. One declaration yields the encoder, the
+//! decoder and `MIN_WIRE_LEN`, and `vo_size` is read off the encoding, so
+//! the declaration is the only place a layout is written down. The types
+//! whose codecs are written by hand:
 //!
 //! | type | encoding |
 //! |---|---|
-//! | [`Record`] | `rid:u64, ts:u64, attrs:vec<i64>` |
-//! | [`GapProof`] | `record, left:i64, right:i64, signature` |
-//! | [`EmptyTableProof`] | `epoch:u64, shard:u64, ts:u64, signature` |
-//! | [`UpdateSummary`] | `epoch:u64, shard:u64, seq:u64, period_start:u64, ts:u64, compressed:bytes, signature` |
-//! | [`SummaryCheckpoint`] | `epoch:u64, shard:u64, through_seq:u64, through_ts:u64, exposure:vec<u64>, signature` |
-//! | [`SelectionAnswer`] | `records:vec, agg, left:i64, right:i64, gap:opt, vacancy:opt, summaries:vec, checkpoint:opt` |
 //! | [`ProjectedRow`] | `rid:u64, ts:u64, values:vec<(idx:u32, value:i64)>` |
-//! | [`ProjectionAnswer`] | `rows:vec, agg, summaries:vec` |
-//! | [`UpdateMsg`] | `kind:u8, record, signature, attr_sigs:vec, old_key:opt<i64>, vacancy:opt` |
 //! | [`ShardMap`] | `epoch:u64, splits:vec<i64>, signature` (decode re-checks the split and epoch invariants) |
-//! | [`ShardedSelectionAnswer`] | `map, parts:vec<(shard:u64, answer)>` |
-//! | [`EpochTransition`] | `epoch:u64, parent_hash:[32]B, map_hash:[32]B, ts:u64, signature` |
-//! | [`EpochCheckpoint`] | `epoch:u64, map_hash:[32]B, transition_hash:[32]B, ts:u64, signature` |
-//! | [`EpochBootstrap`] | `map, transition:opt, checkpoint:opt` |
+//! | [`UpdateKind`] | one tag byte |
 //! | [`RebalancePlan`] | one tag byte (`0` split / `1` merge), then `shard:u64, at:i64` or `left:u64` |
-//! | [`ShardHandoff`] | `shard:u64, records:vec, sigs:vec, vacancy:opt, baseline:summary` |
-//! | [`ShardRebind`] | `shard:u64, summaries:vec, vacancy:opt, checkpoint:opt` |
-//! | [`Rebalance`] | `plan, new_map, transition, handoffs:vec, rebound:vec, checkpoint` |
-//! | [`QsStats`] | eight `u64` counters |
+//! | [`QueryError`] | one tag byte, then the variant's fields |
 //! | [`Request`] / [`Response`] | one tag byte, then the variant's fields |
 //! | [`Request::Tagged`] / [`Response::Tagged`] | wrapper tag byte, `id:u64`, then exactly one *unwrapped* message (nesting is a typed `BadTag`, never recursion) |
 
@@ -58,149 +49,196 @@ use crate::shard::{
     ShardHandoff, ShardMap, ShardRebind, ShardedSelectionAnswer,
 };
 
-// -- records and proofs -----------------------------------------------------
+// -- the declaration-driven codec -------------------------------------------
 
-impl WireEncode for Record {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.rid.encode_into(out);
-        self.ts.encode_into(out);
-        self.attrs.encode_into(out);
+/// How one declared field travels on the wire.
+trait FieldCodec<T> {
+    /// Lower bound on the field's encoded length.
+    const MIN_WIRE_LEN: usize;
+    fn encode_field(v: &T, out: &mut Vec<u8>);
+    fn decode_field(r: &mut Reader<'_>) -> Result<T, WireError>;
+}
+
+/// A field encoded by its own type's codec (every field not marked `as`).
+struct Native;
+
+impl<T: WireEncode + WireDecode> FieldCodec<T> for Native {
+    const MIN_WIRE_LEN: usize = T::MIN_WIRE_LEN;
+    fn encode_field(v: &T, out: &mut Vec<u8>) {
+        v.encode_into(out);
+    }
+    fn decode_field(r: &mut Reader<'_>) -> Result<T, WireError> {
+        T::decode_from(r)
     }
 }
 
-impl WireDecode for Record {
-    const MIN_WIRE_LEN: usize = 20;
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Record {
-            rid: r.u64()?,
-            ts: r.u64()?,
-            attrs: Vec::<i64>::decode_from(r)?,
+/// A summary's compressed bitmap: a length-prefixed byte string.
+struct Bitmap;
+
+impl FieldCodec<Vec<u8>> for Bitmap {
+    const MIN_WIRE_LEN: usize = 4;
+    fn encode_field(v: &Vec<u8>, out: &mut Vec<u8>) {
+        put_bytes(out, v);
+    }
+    fn decode_field(r: &mut Reader<'_>) -> Result<Vec<u8>, WireError> {
+        r.bytes("summary bitmap")
+    }
+}
+
+/// A shard index: a `u64` on the wire that must fit this platform's
+/// `usize`.
+struct ShardIndex;
+
+impl FieldCodec<usize> for ShardIndex {
+    const MIN_WIRE_LEN: usize = 8;
+    fn encode_field(v: &usize, out: &mut Vec<u8>) {
+        (*v as u64).encode_into(out);
+    }
+    fn decode_field(r: &mut Reader<'_>) -> Result<usize, WireError> {
+        usize::try_from(r.u64()?).map_err(|_| WireError::NonCanonical {
+            what: "shard index",
         })
     }
 }
 
-impl WireEncode for GapProof {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.record.encode_into(out);
-        self.left_key.encode_into(out);
-        self.right_key.encode_into(out);
-        self.signature.encode_into(out);
+/// The codec of a field declared `name: T` ([`Native`]) or
+/// `name: T as Adapter`.
+macro_rules! codec {
+    () => {
+        Native
+    };
+    ($via:ty) => {
+        $via
+    };
+}
+
+/// Derive [`WireEncode`] and [`WireDecode`] for plain structs from one
+/// field list each. Fields travel in the order listed (which need not be
+/// the struct's declaration order); `decode_from` reads them in that order
+/// and fails at the first typed error; `MIN_WIRE_LEN` is the sum of the
+/// fields' bounds.
+macro_rules! wire_struct {
+    ($($name:ident { $($field:ident: $ty:ty $(as $via:ty)?),+ $(,)? })+) => {$(
+        impl WireEncode for $name {
+            fn encode_into(&self, out: &mut Vec<u8>) {
+                $(<codec!($($via)?) as FieldCodec<$ty>>::encode_field(&self.$field, out);)+
+            }
+        }
+
+        impl WireDecode for $name {
+            const MIN_WIRE_LEN: usize =
+                0 $(+ <codec!($($via)?) as FieldCodec<$ty>>::MIN_WIRE_LEN)+;
+            fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok($name {
+                    $($field: <codec!($($via)?) as FieldCodec<$ty>>::decode_field(r)?,)+
+                })
+            }
+        }
+    )+};
+}
+
+wire_struct! {
+    // -- records and proofs --
+    Record { rid: u64, ts: u64, attrs: Vec<i64> }
+    GapProof { record: Record, left_key: i64, right_key: i64, signature: Signature }
+    EmptyTableProof { epoch: u64, shard: u64, ts: u64, signature: Signature }
+    UpdateSummary {
+        epoch: u64,
+        shard: u64,
+        seq: u64,
+        period_start: u64,
+        ts: u64,
+        compressed: Vec<u8> as Bitmap,
+        signature: Signature,
+    }
+    SummaryCheckpoint {
+        epoch: u64,
+        shard: u64,
+        through_seq: u64,
+        through_ts: u64,
+        exposure: Vec<u64>,
+        signature: Signature,
+    }
+    SelectionAnswer {
+        records: Vec<Record>,
+        agg: Signature,
+        left_key: i64,
+        right_key: i64,
+        gap: Option<GapProof>,
+        vacancy: Option<EmptyTableProof>,
+        summaries: Vec<Arc<UpdateSummary>>,
+        checkpoint: Option<SummaryCheckpoint>,
+    }
+    ProjectionAnswer { rows: Vec<ProjectedRow>, agg: Signature, summaries: Vec<Arc<UpdateSummary>> }
+
+    // -- update stream --
+    UpdateMsg {
+        kind: UpdateKind,
+        record: Record,
+        signature: Signature,
+        attr_sigs: Vec<Signature>,
+        old_key: Option<i64>,
+        vacancy: Option<EmptyTableProof>,
+    }
+
+    // -- sharding --
+    EpochTransition {
+        epoch: u64,
+        parent_hash: [u8; 32],
+        map_hash: [u8; 32],
+        ts: u64,
+        signature: Signature,
+    }
+    EpochCheckpoint {
+        epoch: u64,
+        map_hash: [u8; 32],
+        transition_hash: [u8; 32],
+        ts: u64,
+        signature: Signature,
+    }
+    EpochBootstrap {
+        map: ShardMap,
+        transition: Option<EpochTransition>,
+        checkpoint: Option<EpochCheckpoint>,
+    }
+    ShardHandoff {
+        shard: usize as ShardIndex,
+        records: Vec<Record>,
+        sigs: Vec<Signature>,
+        vacancy: Option<EmptyTableProof>,
+        baseline: UpdateSummary,
+    }
+    ShardRebind {
+        shard: usize as ShardIndex,
+        summaries: Vec<Arc<UpdateSummary>>,
+        vacancy: Option<EmptyTableProof>,
+        checkpoint: Option<SummaryCheckpoint>,
+    }
+    Rebalance {
+        plan: RebalancePlan,
+        new_map: ShardMap,
+        transition: EpochTransition,
+        handoffs: Vec<ShardHandoff>,
+        rebound: Vec<ShardRebind>,
+        checkpoint: EpochCheckpoint,
+    }
+    ShardAnswer { shard: usize as ShardIndex, answer: SelectionAnswer }
+    ShardedSelectionAnswer { map: ShardMap, parts: Vec<ShardAnswer> }
+
+    // -- diagnostics --
+    QsStats {
+        agg_ops: u64,
+        queries: u64,
+        updates: u64,
+        cache_hits: u64,
+        cache_misses: u64,
+        node_cache_hits: u64,
+        node_cache_misses: u64,
+        node_cache_evictions: u64,
     }
 }
 
-impl WireDecode for GapProof {
-    const MIN_WIRE_LEN: usize = Record::MIN_WIRE_LEN + 16 + Signature::MIN_WIRE_LEN;
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(GapProof {
-            record: Record::decode_from(r)?,
-            left_key: r.i64()?,
-            right_key: r.i64()?,
-            signature: Signature::decode_from(r)?,
-        })
-    }
-}
-
-impl WireEncode for EmptyTableProof {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.epoch.encode_into(out);
-        self.shard.encode_into(out);
-        self.ts.encode_into(out);
-        self.signature.encode_into(out);
-    }
-}
-
-impl WireDecode for EmptyTableProof {
-    const MIN_WIRE_LEN: usize = 24 + Signature::MIN_WIRE_LEN;
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(EmptyTableProof {
-            epoch: r.u64()?,
-            shard: r.u64()?,
-            ts: r.u64()?,
-            signature: Signature::decode_from(r)?,
-        })
-    }
-}
-
-impl WireEncode for UpdateSummary {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.epoch.encode_into(out);
-        self.shard.encode_into(out);
-        self.seq.encode_into(out);
-        self.period_start.encode_into(out);
-        self.ts.encode_into(out);
-        put_bytes(out, &self.compressed);
-        self.signature.encode_into(out);
-    }
-}
-
-impl WireDecode for UpdateSummary {
-    const MIN_WIRE_LEN: usize = 44 + Signature::MIN_WIRE_LEN;
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(UpdateSummary {
-            epoch: r.u64()?,
-            shard: r.u64()?,
-            seq: r.u64()?,
-            period_start: r.u64()?,
-            ts: r.u64()?,
-            compressed: r.bytes("summary bitmap")?,
-            signature: Signature::decode_from(r)?,
-        })
-    }
-}
-
-impl WireEncode for SummaryCheckpoint {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.epoch.encode_into(out);
-        self.shard.encode_into(out);
-        self.through_seq.encode_into(out);
-        self.through_ts.encode_into(out);
-        self.exposure.encode_into(out);
-        self.signature.encode_into(out);
-    }
-}
-
-impl WireDecode for SummaryCheckpoint {
-    const MIN_WIRE_LEN: usize = 36 + Signature::MIN_WIRE_LEN;
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(SummaryCheckpoint {
-            epoch: r.u64()?,
-            shard: r.u64()?,
-            through_seq: r.u64()?,
-            through_ts: r.u64()?,
-            exposure: Vec::<u64>::decode_from(r)?,
-            signature: Signature::decode_from(r)?,
-        })
-    }
-}
-
-impl WireEncode for SelectionAnswer {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.records.encode_into(out);
-        self.agg.encode_into(out);
-        self.left_key.encode_into(out);
-        self.right_key.encode_into(out);
-        self.gap.encode_into(out);
-        self.vacancy.encode_into(out);
-        self.summaries.encode_into(out);
-        self.checkpoint.encode_into(out);
-    }
-}
-
-impl WireDecode for SelectionAnswer {
-    const MIN_WIRE_LEN: usize = 4 + Signature::MIN_WIRE_LEN + 16 + 1 + 1 + 4 + 1;
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(SelectionAnswer {
-            records: Vec::<Record>::decode_from(r)?,
-            agg: Signature::decode_from(r)?,
-            left_key: r.i64()?,
-            right_key: r.i64()?,
-            gap: Option::<GapProof>::decode_from(r)?,
-            vacancy: Option::<EmptyTableProof>::decode_from(r)?,
-            summaries: Vec::<Arc<UpdateSummary>>::decode_from(r)?,
-            checkpoint: Option::<SummaryCheckpoint>::decode_from(r)?,
-        })
-    }
-}
+// -- hand-written codecs ----------------------------------------------------
 
 impl WireEncode for ProjectedRow {
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -232,27 +270,6 @@ impl WireDecode for ProjectedRow {
     }
 }
 
-impl WireEncode for ProjectionAnswer {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.rows.encode_into(out);
-        self.agg.encode_into(out);
-        self.summaries.encode_into(out);
-    }
-}
-
-impl WireDecode for ProjectionAnswer {
-    const MIN_WIRE_LEN: usize = 8 + Signature::MIN_WIRE_LEN;
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ProjectionAnswer {
-            rows: Vec::<ProjectedRow>::decode_from(r)?,
-            agg: Signature::decode_from(r)?,
-            summaries: Vec::<Arc<UpdateSummary>>::decode_from(r)?,
-        })
-    }
-}
-
-// -- update stream ----------------------------------------------------------
-
 impl WireEncode for UpdateKind {
     fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(match self {
@@ -279,33 +296,6 @@ impl WireDecode for UpdateKind {
         }
     }
 }
-
-impl WireEncode for UpdateMsg {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.kind.encode_into(out);
-        self.record.encode_into(out);
-        self.signature.encode_into(out);
-        self.attr_sigs.encode_into(out);
-        self.old_key.encode_into(out);
-        self.vacancy.encode_into(out);
-    }
-}
-
-impl WireDecode for UpdateMsg {
-    const MIN_WIRE_LEN: usize = 1 + Record::MIN_WIRE_LEN + Signature::MIN_WIRE_LEN + 6;
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(UpdateMsg {
-            kind: UpdateKind::decode_from(r)?,
-            record: Record::decode_from(r)?,
-            signature: Signature::decode_from(r)?,
-            attr_sigs: Vec::<Signature>::decode_from(r)?,
-            old_key: Option::<i64>::decode_from(r)?,
-            vacancy: Option::<EmptyTableProof>::decode_from(r)?,
-        })
-    }
-}
-
-// -- sharding ---------------------------------------------------------------
 
 impl WireEncode for ShardMap {
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -334,82 +324,17 @@ impl WireDecode for ShardMap {
     }
 }
 
-impl WireEncode for EpochTransition {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.epoch.encode_into(out);
-        out.extend_from_slice(&self.parent_hash);
-        out.extend_from_slice(&self.map_hash);
-        self.ts.encode_into(out);
-        self.signature.encode_into(out);
-    }
-}
-
-impl WireDecode for EpochTransition {
-    const MIN_WIRE_LEN: usize = 80 + Signature::MIN_WIRE_LEN;
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(EpochTransition {
-            epoch: r.u64()?,
-            parent_hash: r.array::<32>()?,
-            map_hash: r.array::<32>()?,
-            ts: r.u64()?,
-            signature: Signature::decode_from(r)?,
-        })
-    }
-}
-
-impl WireEncode for EpochCheckpoint {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.epoch.encode_into(out);
-        out.extend_from_slice(&self.map_hash);
-        out.extend_from_slice(&self.transition_hash);
-        self.ts.encode_into(out);
-        self.signature.encode_into(out);
-    }
-}
-
-impl WireDecode for EpochCheckpoint {
-    const MIN_WIRE_LEN: usize = 80 + Signature::MIN_WIRE_LEN;
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(EpochCheckpoint {
-            epoch: r.u64()?,
-            map_hash: r.array::<32>()?,
-            transition_hash: r.array::<32>()?,
-            ts: r.u64()?,
-            signature: Signature::decode_from(r)?,
-        })
-    }
-}
-
-impl WireEncode for EpochBootstrap {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.map.encode_into(out);
-        self.transition.encode_into(out);
-        self.checkpoint.encode_into(out);
-    }
-}
-
-impl WireDecode for EpochBootstrap {
-    const MIN_WIRE_LEN: usize = ShardMap::MIN_WIRE_LEN + 2;
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(EpochBootstrap {
-            map: ShardMap::decode_from(r)?,
-            transition: Option::<EpochTransition>::decode_from(r)?,
-            checkpoint: Option::<EpochCheckpoint>::decode_from(r)?,
-        })
-    }
-}
-
 impl WireEncode for RebalancePlan {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        match *self {
+        match self {
             RebalancePlan::Split { shard, at } => {
                 out.push(0);
-                (shard as u64).encode_into(out);
+                ShardIndex::encode_field(shard, out);
                 at.encode_into(out);
             }
             RebalancePlan::Merge { left } => {
                 out.push(1);
-                (left as u64).encode_into(out);
+                ShardIndex::encode_field(left, out);
             }
         }
     }
@@ -420,165 +345,17 @@ impl WireDecode for RebalancePlan {
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
             0 => Ok(RebalancePlan::Split {
-                shard: decode_shard_index(r)?,
+                shard: ShardIndex::decode_field(r)?,
                 at: r.i64()?,
             }),
             1 => Ok(RebalancePlan::Merge {
-                left: decode_shard_index(r)?,
+                left: ShardIndex::decode_field(r)?,
             }),
             tag => Err(WireError::BadTag {
                 what: "rebalance plan",
                 tag,
             }),
         }
-    }
-}
-
-impl WireEncode for ShardHandoff {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        (self.shard as u64).encode_into(out);
-        self.records.encode_into(out);
-        self.sigs.encode_into(out);
-        self.vacancy.encode_into(out);
-        self.baseline.encode_into(out);
-    }
-}
-
-impl WireDecode for ShardHandoff {
-    const MIN_WIRE_LEN: usize = 8 + 4 + 4 + 1 + UpdateSummary::MIN_WIRE_LEN;
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ShardHandoff {
-            shard: decode_shard_index(r)?,
-            records: Vec::<Record>::decode_from(r)?,
-            sigs: Vec::<Signature>::decode_from(r)?,
-            vacancy: Option::<EmptyTableProof>::decode_from(r)?,
-            baseline: UpdateSummary::decode_from(r)?,
-        })
-    }
-}
-
-impl WireEncode for ShardRebind {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        (self.shard as u64).encode_into(out);
-        self.summaries.encode_into(out);
-        self.vacancy.encode_into(out);
-        self.checkpoint.encode_into(out);
-    }
-}
-
-impl WireDecode for ShardRebind {
-    const MIN_WIRE_LEN: usize = 14;
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ShardRebind {
-            shard: decode_shard_index(r)?,
-            summaries: Vec::<Arc<UpdateSummary>>::decode_from(r)?,
-            vacancy: Option::<EmptyTableProof>::decode_from(r)?,
-            checkpoint: Option::<SummaryCheckpoint>::decode_from(r)?,
-        })
-    }
-}
-
-impl WireEncode for Rebalance {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.plan.encode_into(out);
-        self.new_map.encode_into(out);
-        self.transition.encode_into(out);
-        self.handoffs.encode_into(out);
-        self.rebound.encode_into(out);
-        self.checkpoint.encode_into(out);
-    }
-}
-
-impl WireDecode for Rebalance {
-    const MIN_WIRE_LEN: usize = RebalancePlan::MIN_WIRE_LEN
-        + ShardMap::MIN_WIRE_LEN
-        + EpochTransition::MIN_WIRE_LEN
-        + 8
-        + EpochCheckpoint::MIN_WIRE_LEN;
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Rebalance {
-            plan: RebalancePlan::decode_from(r)?,
-            new_map: ShardMap::decode_from(r)?,
-            transition: EpochTransition::decode_from(r)?,
-            handoffs: Vec::<ShardHandoff>::decode_from(r)?,
-            rebound: Vec::<ShardRebind>::decode_from(r)?,
-            checkpoint: EpochCheckpoint::decode_from(r)?,
-        })
-    }
-}
-
-fn decode_shard_index(r: &mut Reader<'_>) -> Result<usize, WireError> {
-    usize::try_from(r.u64()?).map_err(|_| WireError::NonCanonical {
-        what: "shard index",
-    })
-}
-
-impl WireEncode for ShardAnswer {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        (self.shard as u64).encode_into(out);
-        self.answer.encode_into(out);
-    }
-}
-
-impl WireDecode for ShardAnswer {
-    const MIN_WIRE_LEN: usize = 8 + SelectionAnswer::MIN_WIRE_LEN;
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let shard = r.u64()?;
-        let shard = usize::try_from(shard).map_err(|_| WireError::NonCanonical {
-            what: "shard index",
-        })?;
-        Ok(ShardAnswer {
-            shard,
-            answer: SelectionAnswer::decode_from(r)?,
-        })
-    }
-}
-
-impl WireEncode for ShardedSelectionAnswer {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.map.encode_into(out);
-        self.parts.encode_into(out);
-    }
-}
-
-impl WireDecode for ShardedSelectionAnswer {
-    const MIN_WIRE_LEN: usize = ShardMap::MIN_WIRE_LEN + 4;
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ShardedSelectionAnswer {
-            map: ShardMap::decode_from(r)?,
-            parts: Vec::<ShardAnswer>::decode_from(r)?,
-        })
-    }
-}
-
-// -- diagnostics ------------------------------------------------------------
-
-impl WireEncode for QsStats {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.agg_ops.encode_into(out);
-        self.queries.encode_into(out);
-        self.updates.encode_into(out);
-        self.cache_hits.encode_into(out);
-        self.cache_misses.encode_into(out);
-        self.node_cache_hits.encode_into(out);
-        self.node_cache_misses.encode_into(out);
-        self.node_cache_evictions.encode_into(out);
-    }
-}
-
-impl WireDecode for QsStats {
-    const MIN_WIRE_LEN: usize = 64;
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(QsStats {
-            agg_ops: r.u64()?,
-            queries: r.u64()?,
-            updates: r.u64()?,
-            cache_hits: r.u64()?,
-            cache_misses: r.u64()?,
-            node_cache_hits: r.u64()?,
-            node_cache_misses: r.u64()?,
-            node_cache_evictions: r.u64()?,
-        })
     }
 }
 

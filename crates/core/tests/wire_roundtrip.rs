@@ -66,6 +66,12 @@ fn decode_ops(raw: &[(u8, i64, i64)]) -> Vec<Op> {
 /// The canonicality contract every wire value must satisfy.
 fn assert_canonical<T: WireEncode + WireDecode + PartialEq + std::fmt::Debug>(x: &T) {
     let enc = x.encode();
+    // An over-estimated bound would make honest sequences of T fail with
+    // LengthOverflow.
+    assert!(
+        enc.len() >= T::MIN_WIRE_LEN,
+        "MIN_WIRE_LEN is a lower bound"
+    );
     let dec = T::decode(&enc).expect("canonical bytes decode");
     assert_eq!(&dec, x, "decode . encode = id");
     assert_eq!(dec.encode(), enc, "re-encoding is bit-identical");

@@ -30,8 +30,8 @@
 //! re-encodes the page *and* evicts its cache entry, so the next read
 //! re-decodes fresh bytes. There is no other write path. Concurrent use is
 //! safe because callers follow the workspace-wide discipline: writers take
-//! a tree exclusively (`&mut self` methods; the sharded server orders them
-//! via 2PL on the shard's `RwLock`), while concurrent readers only ever run
+//! a tree exclusively (`&mut self` methods; the sharded server takes the
+//! shard's `RwLock` for writing), while concurrent readers only ever run
 //! against a tree no writer holds — a reader can observe the cache, but
 //! never mid-mutation state, and invalidation happens-before any subsequent
 //! reader lock acquisition. Snapshot readers therefore cannot see a stale

@@ -26,7 +26,10 @@
 //! `WireDecode` impls, the wire `Reader` helpers and framing entry points
 //! (`deframe`, `decode_frame`, `frame_body_len`), and the verifier claim
 //! pipeline (`Verifier` methods, `analyze_selection`, and everything they
-//! call, by call-graph closure over the `wire` and `core` crates).
+//! call, by call-graph closure over the `wire` and `core` crates). A
+//! fully qualified `<T as Trait>::f(..)` call names no implementing type,
+//! so it reaches every method called `f`; `impl` blocks inside
+//! `macro_rules!` bodies are scanned like hand-written ones.
 //!
 //! *Why:* these paths run on attacker-controlled bytes and on answers from
 //! an untrusted server. A reachable panic is a denial-of-service primitive

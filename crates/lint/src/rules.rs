@@ -208,6 +208,7 @@ fn calls_in(m: &FileModel, lo: usize, hi: usize) -> Vec<Call> {
         } else if prev.is_some_and(|p| p.is_punct("::")) {
             // Walk back over an optional turbofish / qualified-path group.
             let mut k = i.saturating_sub(2);
+            let mut qualified_self = false;
             if m.tokens.get(k).is_some_and(|p| p.is_punct(">")) {
                 let mut depth = 0i32;
                 while k > 0 {
@@ -226,17 +227,21 @@ fn calls_in(m: &FileModel, lo: usize, hi: usize) -> Vec<Call> {
                 k = k.saturating_sub(1);
                 if m.tokens.get(k).is_some_and(|p| p.is_punct("::")) {
                     k = k.saturating_sub(1);
+                } else {
+                    // `<T as Trait>::f(..)`: the implementing type is not
+                    // spelled out, so resolve like a method call.
+                    qualified_self = true;
                 }
             }
             let qual = m
                 .tokens
                 .get(k)
-                .filter(|q| q.kind == TokKind::Ident)
+                .filter(|q| q.kind == TokKind::Ident && !qualified_self)
                 .map(|q| q.text.clone());
             out.push(Call {
                 name: t.text.clone(),
                 qual,
-                method: false,
+                method: qualified_self,
             });
         } else {
             out.push(Call {
@@ -807,6 +812,32 @@ fn helper(x: usize) {
             .diagnostics
             .iter()
             .any(|d| d.rule == RULE_DECODE && d.msg.contains("helper")));
+    }
+
+    #[test]
+    fn closure_reaches_qualified_self_calls() {
+        // `<T as Trait>::f(..)` names no implementing type, so it must
+        // reach every method called `f` (here a field adapter's decoder).
+        let src = r#"
+impl WireDecode for X {
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(X(<Native as FieldCodec<u64>>::decode_field(r)?))
+    }
+}
+impl FieldCodec<u64> for Native {
+    fn decode_field(r: &mut Reader<'_>) -> Result<u64, WireError> {
+        Ok(r.u64().unwrap())
+    }
+}
+"#;
+        let a = analyze(&one("crates/core/src/wire.rs", src));
+        assert!(
+            a.diagnostics
+                .iter()
+                .any(|d| d.rule == RULE_DECODE && d.msg.contains("decode_field")),
+            "{:?}",
+            a.diagnostics
+        );
     }
 
     #[test]

@@ -19,9 +19,15 @@ fn fixture(dir: &str, name: &str) -> String {
 }
 
 /// (fixture file, synthetic workspace path, expected rule, expected count)
-const BAD: [(&str, &str, &str, usize); 6] = [
+const BAD: [(&str, &str, &str, usize); 7] = [
     (
         "panicking_decode.rs",
+        "crates/core/src/fixture.rs",
+        RULE_DECODE,
+        1,
+    ),
+    (
+        "macro_decode.rs",
         "crates/core/src/fixture.rs",
         RULE_DECODE,
         1,

@@ -39,10 +39,11 @@
 //!
 //! 1. **Per-shard snapshots** (`authdb_core::shard`). Readers pin an
 //!    immutable epoch snapshot (`Arc`) and build proofs against it; the
-//!    DA-side writer applies updates under per-shard 2PL and publishes a
-//!    certified rebalance by swapping the snapshot pointer once. A query
-//!    that straddles a swap restarts against the new epoch — honest
-//!    answers are never rejected, and every proof is single-epoch.
+//!    DA-side writer applies updates under per-shard write locks and
+//!    publishes a certified rebalance by swapping the snapshot pointer
+//!    once. A query that straddles a swap restarts against the new epoch
+//!    — honest answers are never rejected, and every proof is
+//!    single-epoch.
 //! 2. **Connection multiplexing** (`Request::Tagged`). A client pipelines
 //!    a batch of id-tagged requests on one connection and matches the
 //!    echoed ids; the event loop answers them in arrival order. On a

@@ -267,6 +267,11 @@ pub trait WireEncode {
         self.encode_into(&mut out);
         out
     }
+
+    /// The length of the canonical encoding.
+    fn encoded_len(&self) -> usize {
+        self.encode().len()
+    }
 }
 
 /// A type decodable from its canonical encoding. Decoding is total over
@@ -354,6 +359,20 @@ impl WireDecode for i64 {
     const MIN_WIRE_LEN: usize = 8;
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
         r.i64()
+    }
+}
+
+/// Fixed-size byte arrays (digests) travel as their raw bytes.
+impl<const N: usize> WireEncode for [u8; N] {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self);
+    }
+}
+
+impl<const N: usize> WireDecode for [u8; N] {
+    const MIN_WIRE_LEN: usize = N;
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.array()
     }
 }
 
@@ -515,6 +534,10 @@ mod tests {
         }
         let v: Vec<u64> = vec![1, 2, 3];
         assert_eq!(Vec::<u64>::decode(&v.encode()).unwrap(), v);
+        let d = [7u8; 32];
+        assert_eq!(d.encode(), d.to_vec());
+        assert_eq!(<[u8; 32]>::decode(&d.encode()).unwrap(), d);
+        assert_eq!(<[u8; 32]>::MIN_WIRE_LEN, 32);
         let o: Option<i64> = Some(-7);
         assert_eq!(Option::<i64>::decode(&o.encode()).unwrap(), o);
         assert_eq!(Option::<i64>::decode(&None::<i64>.encode()).unwrap(), None);

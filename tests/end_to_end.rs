@@ -225,9 +225,10 @@ fn projection_end_to_end() {
     // Project two non-contiguous attributes: VO is still one signature.
     let ans = qs.project(5, 25, &[1, 3]).unwrap();
     assert_eq!(ans.rows.len(), 21);
+    let narrow = qs.project(5, 10, &[1]).unwrap();
     assert_eq!(
         ans.vo_size(&da.public_params()),
-        da.public_params().wire_len()
+        narrow.vo_size(&da.public_params())
     );
     verifier
         .verify_projection(&ans, da.now(), true)
