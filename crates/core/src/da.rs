@@ -1,10 +1,12 @@
 //! The Data Aggregator (DA): the trusted signer of Section 3.1.
 //!
 //! The DA owns the database of record: a heap file of serialized records and
-//! an ASign B+-tree of `⟨key, sn, rid⟩` entries. Every certification signs
-//! the record content together with its timestamp; in **chained** mode the
-//! message additionally binds the left/right neighbours' indexed-attribute
-//! values (Section 3.3), so inserts and deletes re-certify up to two
+//! a payload-free B+-tree of `⟨key, rid⟩` entries — chain neighbours need
+//! only key order, and the signatures go out to the query server, whose
+//! ASign tree stores them. Every certification signs the record content
+//! together with its timestamp; in **chained** mode the message
+//! additionally binds the left/right neighbours' indexed-attribute values
+//! (Section 3.3), so inserts and deletes re-certify up to two
 //! neighbours while plain value updates touch exactly one signature — the
 //! concurrency advantage over the MHT that the whole paper builds on.
 //!
@@ -18,9 +20,8 @@
 //! The log of published summaries grows without bound, and the verifier's
 //! anchored-run rule forces servers to retain (and epoch transitions to
 //! re-sign) all of it. [`DataAggregator::checkpoint_summaries`] collapses a
-//! log prefix into one signed
-//! [`SummaryCheckpoint`](crate::freshness::SummaryCheckpoint) and drops the
-//! covered entries. The checkpoint is sound because it commits to the
+//! log prefix into one signed [`SummaryCheckpoint`] and drops the covered
+//! entries. The checkpoint is sound because it commits to the
 //! prefix's cumulative exposure map — per rid, the latest covered period
 //! start whose summary marked it — which is *exactly* what pass-1 staleness
 //! extracts from the prefix: a compacted prefix cannot hide a staleness
@@ -37,8 +38,7 @@ use std::sync::Arc;
 
 use authdb_crypto::signer::{Keypair, PublicParams, SchemeKind, Signature};
 use authdb_filters::bitmap::Bitmap;
-use authdb_index::btree::LeafEntry;
-use authdb_index::{new_asign, ASignTree};
+use authdb_index::btree::{BTree, LeafEntry, NoAnnotation, TreeConfig};
 use authdb_storage::{BufferPool, Disk, HeapFile};
 
 use crate::freshness::{EmptyTableProof, SummaryCheckpoint, UpdateSummary};
@@ -141,11 +141,8 @@ pub struct DataAggregator {
     cfg: DaConfig,
     keypair: Keypair,
     heap: HeapFile,
-    tree: ASignTree,
-    /// Decoded signature per rid (the tree stores the wire form).
-    sigs: Vec<Signature>,
-    /// Per-attribute signatures per rid (PerAttribute mode).
-    attr_sigs: Vec<Vec<Signature>>,
+    /// Key → rid index in `(key, rid)` order (no payload).
+    tree: BTree<NoAnnotation>,
     /// Last certification tick per rid.
     cert_ts: Vec<Tick>,
     clock: Tick,
@@ -197,15 +194,19 @@ impl DataAggregator {
         let disk = Disk::new();
         let pool = BufferPool::new(disk, cfg.buffer_pages);
         let heap = HeapFile::new(pool.clone(), cfg.schema.record_len);
-        let sig_len = keypair.public_params().wire_len();
-        let tree = new_asign(pool, sig_len);
+        let tree = BTree::new(
+            pool,
+            TreeConfig {
+                payload_len: 0,
+                ann_len: 0,
+            },
+            NoAnnotation,
+        );
         DataAggregator {
             cfg,
             keypair,
             heap,
             tree,
-            sigs: Vec::new(),
-            attr_sigs: Vec::new(),
             cert_ts: Vec::new(),
             clock: 0,
             period_start: 0,
@@ -274,11 +275,6 @@ impl DataAggregator {
         self.heap
             .read(rid)
             .map(|bytes| Record::from_bytes(&self.cfg.schema, &bytes))
-    }
-
-    /// The ASign tree height (index diagnostics).
-    pub fn tree_height(&self) -> usize {
-        self.tree.height()
     }
 
     /// Sign an arbitrary message with the DA's key (partition filter
@@ -647,13 +643,11 @@ impl DataAggregator {
             .map(|&i| LeafEntry {
                 key: records[i].key(&schema),
                 rid: records[i].rid,
-                payload: sigs[i].to_bytes_padded(self.tree.config().payload_len),
+                payload: Vec::new(),
             })
             .collect();
         self.tree.bulk_load(&entries, self.cfg.fill);
         self.cert_ts = vec![ts; n];
-        self.sigs = sigs.clone();
-        self.attr_sigs = attr_by_rid.clone();
         // A bootstrap of zero records still needs an authenticated answer
         // for every query: certify the vacancy.
         let vacancy = if records.is_empty() {
@@ -684,24 +678,14 @@ impl DataAggregator {
             SigningMode::Chained => self.neighbor_keys(record.key(&self.cfg.schema), record.rid),
             SigningMode::PerAttribute => (KEY_NEG_INF, KEY_POS_INF),
         };
-        let sig = self.sign_record(record, left, right);
+        let signature = self.sign_record(record, left, right);
         let attr_sigs = self.sign_attrs(record);
-        let rid = record.rid as usize;
-        self.sigs[rid] = sig.clone();
-        if self.cfg.mode == SigningMode::PerAttribute {
-            self.attr_sigs[rid] = attr_sigs.clone();
-        }
-        self.cert_ts[rid] = record.ts;
-        self.tree.update_payload(
-            record.key(&self.cfg.schema),
-            record.rid,
-            sig.to_bytes_padded(self.tree.config().payload_len),
-        );
+        self.cert_ts[record.rid as usize] = record.ts;
         self.mark_updated(record.rid);
         UpdateMsg {
             kind,
             record: record.clone(),
-            signature: sig,
+            signature,
             attr_sigs,
             old_key: None,
             vacancy: None,
@@ -733,13 +717,10 @@ impl DataAggregator {
         debug_assert_eq!(rid, record.rid);
         // The relation is no longer empty.
         self.empty_proof = None;
-        self.sigs.push(self.keypair.public_params().identity());
-        self.attr_sigs.push(Vec::new());
         self.cert_ts.push(self.clock);
-        // Insert a placeholder entry so neighbour search sees the record.
+        // Index the record first so neighbour search sees it.
         let key = record.key(&schema);
-        self.tree
-            .insert(key, rid, vec![0u8; self.tree.config().payload_len]);
+        self.tree.insert(key, rid, Vec::new());
         let mut msgs = vec![self.certify(&record, UpdateKind::Insert)];
         if self.cfg.mode == SigningMode::Chained {
             let (left, right) = self.neighbor_entries(key, rid);
@@ -780,8 +761,7 @@ impl DataAggregator {
         // both old and new neighbourhoods.
         let (old_left, old_right) = self.neighbor_entries(old_key, rid);
         self.tree.delete(old_key, rid);
-        self.tree
-            .insert(new_key, rid, vec![0u8; self.tree.config().payload_len]);
+        self.tree.insert(new_key, rid, Vec::new());
         let mut msgs = Vec::new();
         let mut main = self.certify(&record, UpdateKind::Modify);
         main.old_key = Some(old_key);
@@ -992,23 +972,26 @@ mod tests {
 
     #[test]
     fn bootstrap_signs_all_records() {
-        let da = da_with(100);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut da = DataAggregator::new(small_cfg(), &mut rng);
+        let boot = da.bootstrap((0..100).map(|i| vec![i * 10, i]).collect(), 2);
         assert_eq!(da.live_records(), 100);
+        assert_eq!(boot.sigs.len(), 100);
         let pp = da.public_params();
         // Spot-check a middle record's chained signature.
-        let rec = da.record(50).unwrap();
+        let rec = &boot.records[50];
         let msg = rec.chain_message(&da.cfg.schema, 490, 510);
-        assert!(pp.verify(&msg, &da.sigs[50]));
+        assert!(pp.verify(&msg, &boot.sigs[50]));
         // Edge records chain to the sentinels.
-        let first = da.record(0).unwrap();
+        let first = &boot.records[0];
         assert!(pp.verify(
             &first.chain_message(&da.cfg.schema, KEY_NEG_INF, 10),
-            &da.sigs[0]
+            &boot.sigs[0]
         ));
-        let last = da.record(99).unwrap();
+        let last = &boot.records[99];
         assert!(pp.verify(
             &last.chain_message(&da.cfg.schema, 980, KEY_POS_INF),
-            &da.sigs[99]
+            &boot.sigs[99]
         ));
     }
 

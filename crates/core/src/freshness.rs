@@ -26,8 +26,12 @@
 //!
 //! The same machinery covers the degenerate empty relation: the DA mints an
 //! [`EmptyTableProof`] whenever the table becomes (or bootstraps) empty, and
-//! [`check_vacancy`] treats *any* post-proof marking as evidence the claim
-//! is out of date — an empty table can only change by insertion.
+//! the check with [`Mark::Any`] treats *any* post-proof marking as evidence
+//! the claim is out of date — an empty table can only change by insertion.
+//!
+//! Both decisions are one entry point, [`DecodedSummaries::check`]: decode
+//! an answer's bitmaps once, then check each version's `ts` against what a
+//! marking must hit ([`Mark`]) and the run's anchor seq.
 //!
 //! # Checkpoints and log compaction
 //!
@@ -172,7 +176,7 @@ impl UpdateSummary {
 /// record chain of Section 3.3 degenerated to the single gap `(−∞, +∞)`.
 /// Minted by the DA at an empty bootstrap and re-minted whenever a delete
 /// empties the table; superseded by any later insertion, which the client
-/// detects through the update summaries ([`check_vacancy`]).
+/// detects through the update summaries ([`Mark::Any`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct EmptyTableProof {
     /// Which map epoch the claim belongs to (0 for unsharded). Bound into
@@ -354,83 +358,23 @@ pub enum Freshness {
     Indeterminate,
 }
 
-/// Check one record's freshness against verified summaries.
-///
-/// `summaries` must be sorted by `seq`, signature-verified by the caller,
-/// and cover every period from the one containing `record_ts` through the
-/// latest; `rho` is the publication period and `now` the client's clock.
-/// The latest summary must itself be recent (younger than 2ρ), otherwise
-/// the server may be withholding the summaries that would expose a newer
-/// version and the check is [`Freshness::Indeterminate`].
-///
-/// To check many records against one attached set, decode the bitmaps once
-/// via [`DecodedSummaries`] instead of calling this in a loop.
-///
-/// Generic over how the summaries are held (`&[UpdateSummary]`,
+/// What a summary marking must hit to expose the version being checked.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Mark {
+    /// A record version: only a marking of its own rid supersedes it.
+    Rid(u64),
+    /// A vacancy claim ([`EmptyTableProof`]): while the table is empty no
+    /// record can be modified or deleted, so *any* marking proves an
+    /// insertion happened.
+    Any,
+}
+
+/// An attached summary set with every bitmap decompressed **once**, so
+/// checking many records of the same answer costs O(bitmap lookups) per
+/// record. Generic over how the summaries are held (`&[UpdateSummary]`,
 /// `&[Arc<UpdateSummary>]`, …) so callers never materialize a deep copy of
-/// an answer's summary set just to check it.
-pub fn check_freshness<S: Borrow<UpdateSummary>>(
-    rid: u64,
-    record_ts: Tick,
-    summaries: &[S],
-    rho: Tick,
-    now: Tick,
-) -> Freshness {
-    check_freshness_anchored(rid, record_ts, summaries, rho, now, 0)
-}
-
-/// [`check_freshness`] with an explicit anchor seq: a run starting at
-/// `anchor_seq` counts as anchored even when its first period does not
-/// cover `record_ts`. Callers pass `checkpoint.through_seq + 1` after
-/// validating a [`SummaryCheckpoint`] (whose coverage of the full prefix
-/// `0..=through_seq` is what justifies the anchor), or `0` for none.
-pub fn check_freshness_anchored<S: Borrow<UpdateSummary>>(
-    rid: u64,
-    record_ts: Tick,
-    summaries: &[S],
-    rho: Tick,
-    now: Tick,
-    anchor_seq: u64,
-) -> Freshness {
-    check_marks(record_ts, summaries, rho, now, anchor_seq, |i| {
-        summaries[i].borrow().bitmap().map(|b| b.get(rid as usize))
-    })
-}
-
-/// Check an [`EmptyTableProof`]'s currency against verified summaries.
-///
-/// While the table is empty no record can be modified or deleted, so *any*
-/// marking in a period that started at or after the proof's `ts` proves an
-/// insertion happened and the vacancy claim is out of date. The same
-/// anchoring, contiguity, and 2ρ-recency rules as [`check_freshness`]
-/// apply.
-pub fn check_vacancy<S: Borrow<UpdateSummary>>(
-    proof_ts: Tick,
-    summaries: &[S],
-    rho: Tick,
-    now: Tick,
-) -> Freshness {
-    check_vacancy_anchored(proof_ts, summaries, rho, now, 0)
-}
-
-/// [`check_vacancy`] with an explicit anchor seq (see
-/// [`check_freshness_anchored`]).
-pub fn check_vacancy_anchored<S: Borrow<UpdateSummary>>(
-    proof_ts: Tick,
-    summaries: &[S],
-    rho: Tick,
-    now: Tick,
-    anchor_seq: u64,
-) -> Freshness {
-    check_marks(proof_ts, summaries, rho, now, anchor_seq, |i| {
-        summaries[i].borrow().bitmap().map(|b| b.ones() > 0)
-    })
-}
-
-/// An attached summary set with every bitmap decompressed **once**, for
-/// checking many records of the same answer: per-record checks then cost
-/// O(bitmap lookups) instead of re-decompressing each summary per record.
-/// Generic over the holding type like [`check_freshness`].
+/// an answer's summary set just to check it. [`DecodedSummaries::check`]
+/// is the one freshness decision.
 pub struct DecodedSummaries<'a, S = UpdateSummary> {
     summaries: &'a [S],
     bitmaps: Vec<Option<Bitmap>>,
@@ -446,142 +390,114 @@ impl<'a, S: Borrow<UpdateSummary>> DecodedSummaries<'a, S> {
         }
     }
 
-    /// [`check_freshness`] against the pre-decoded bitmaps.
-    pub fn check_freshness(&self, rid: u64, record_ts: Tick, rho: Tick, now: Tick) -> Freshness {
-        self.check_freshness_anchored(rid, record_ts, rho, now, 0)
-    }
-
-    /// [`check_freshness_anchored`] against the pre-decoded bitmaps.
-    pub fn check_freshness_anchored(
-        &self,
-        rid: u64,
-        record_ts: Tick,
-        rho: Tick,
-        now: Tick,
-        anchor_seq: u64,
-    ) -> Freshness {
-        check_marks(record_ts, self.summaries, rho, now, anchor_seq, |i| {
-            self.bitmaps
-                .get(i)
-                .and_then(Option::as_ref)
-                .map(|b| b.get(rid as usize))
-        })
-    }
-
-    /// The run's first summary — what anchoring is judged against, exposed
-    /// so a caller holding a [`SummaryCheckpoint`] can tell a seam failure
-    /// (run resumes past the cut) apart from plain recency withholding.
-    pub fn first(&self) -> Option<&UpdateSummary> {
-        self.summaries.first().map(Borrow::borrow)
-    }
-
     /// Whether the attached run is empty.
     pub fn is_empty(&self) -> bool {
         self.summaries.is_empty()
     }
 
-    /// [`check_vacancy`] against the pre-decoded bitmaps.
-    pub fn check_vacancy(&self, proof_ts: Tick, rho: Tick, now: Tick) -> Freshness {
-        self.check_vacancy_anchored(proof_ts, rho, now, 0)
+    /// The seq the run starts at, if that start fails to anchor a version
+    /// certified at `version_ts`: its period does not cover the version, it
+    /// is not seq 0, and it is not `anchor_seq`. `None` for an anchored (or
+    /// empty) run. Lets the verifier, holding a [`SummaryCheckpoint`], tell
+    /// a seam failure (run resumes past the cut) apart from plain recency
+    /// withholding.
+    pub(crate) fn unanchored_start(&self, version_ts: Tick, anchor_seq: u64) -> Option<u64> {
+        let first = self.summaries.first()?.borrow();
+        let anchored = first.period_start < version_ts || first.seq == 0 || first.seq == anchor_seq;
+        (!anchored).then_some(first.seq)
     }
 
-    /// [`check_vacancy_anchored`] against the pre-decoded bitmaps.
-    pub fn check_vacancy_anchored(
+    /// Decide whether the version certified at `version_ts` is current.
+    /// `mark` is what a marking must hit to expose it: the record's own rid,
+    /// or any rid for a vacancy claim.
+    ///
+    /// The summaries must be sorted by `seq` and signature-verified by the
+    /// caller; `rho` is the publication period and `now` the client's clock.
+    /// The walk demands seq-contiguity, a run anchored at or before the
+    /// period containing `version_ts`, and recency of the newest summary
+    /// (younger than 2ρ) — otherwise the server may be withholding the
+    /// summaries that would expose a newer version and the verdict is
+    /// [`Freshness::Indeterminate`]. `anchor_seq` is an extra seq at which
+    /// a run counts as anchored: `checkpoint.through_seq + 1` after the
+    /// caller validated a [`SummaryCheckpoint`] (whose coverage of the full
+    /// prefix `0..=through_seq` justifies the anchor), `0` for none (seq 0
+    /// always anchors).
+    pub fn check(
         &self,
-        proof_ts: Tick,
+        version_ts: Tick,
+        mark: Mark,
         rho: Tick,
         now: Tick,
         anchor_seq: u64,
     ) -> Freshness {
-        check_marks(proof_ts, self.summaries, rho, now, anchor_seq, |i| {
-            self.bitmaps
-                .get(i)
-                .and_then(Option::as_ref)
-                .map(|b| b.ones() > 0)
-        })
-    }
-}
-
-/// Shared core of [`check_freshness`] and [`check_vacancy`]: walk the
-/// summaries, demand seq-contiguity, anchored coverage of `version_ts`'s
-/// period, and recency of the newest summary. `exposed_at(i)` reports
-/// whether summary `i`'s bitmap invalidates the version being checked
-/// (`None` = malformed bitmap). `anchor_seq` is an extra seq at which a
-/// run counts as anchored — `checkpoint.through_seq + 1` when the caller
-/// validated a [`SummaryCheckpoint`], `0` otherwise (seq 0 always
-/// anchors).
-fn check_marks<S: Borrow<UpdateSummary>>(
-    version_ts: Tick,
-    summaries: &[S],
-    rho: Tick,
-    now: Tick,
-    anchor_seq: u64,
-    exposed_at: impl Fn(usize) -> Option<bool>,
-) -> Freshness {
-    let window = rho.saturating_mul(2);
-    let Some(latest) = summaries.last().map(Borrow::borrow) else {
-        // No summary at all is acceptable only in the first 2ρ of system
-        // life; past that, summaries must exist and their absence means the
-        // server withheld them.
-        if now >= window {
-            return Freshness::Indeterminate;
-        }
-        return Freshness::FreshWithin(now.saturating_sub(version_ts));
-    };
-    // Pass 1 — definitive staleness. A marking proves staleness exactly
-    // when this version *predates* the marked period. The DA guarantees
-    // post-bootstrap certification timestamps are strictly inside their
-    // period (never equal to a boundary), so `version_ts <= period_start`
-    // means the version existed before the period began and the marking is
-    // a newer event. Each summary is individually signed, so this verdict
-    // needs no contiguity or anchoring.
-    let mut malformed = false;
-    for (i, s) in summaries.iter().enumerate() {
-        let s = s.borrow();
-        if version_ts <= s.period_start {
-            match exposed_at(i) {
+        let summaries = self.summaries;
+        let window = rho.saturating_mul(2);
+        let Some(latest) = summaries.last().map(Borrow::borrow) else {
+            // No summary at all is acceptable only in the first 2ρ of system
+            // life; past that, summaries must exist and their absence means
+            // the server withheld them.
+            if now >= window {
+                return Freshness::Indeterminate;
+            }
+            return Freshness::FreshWithin(now.saturating_sub(version_ts));
+        };
+        // Pass 1 — definitive staleness. A marking proves staleness exactly
+        // when this version *predates* the marked period. The DA guarantees
+        // post-bootstrap certification timestamps are strictly inside their
+        // period (never equal to a boundary), so `version_ts <= period_start`
+        // means the version existed before the period began and the marking
+        // is a newer event. Each summary is individually signed, so this
+        // verdict needs no contiguity or anchoring.
+        let mut malformed = false;
+        for (s, bitmap) in summaries.iter().map(Borrow::borrow).zip(&self.bitmaps) {
+            if version_ts > s.period_start {
+                continue;
+            }
+            // `None` = malformed bitmap.
+            let exposed = bitmap.as_ref().map(|b| match mark {
+                Mark::Rid(rid) => b.get(rid as usize),
+                Mark::Any => b.ones() > 0,
+            });
+            match exposed {
                 Some(true) => return Freshness::Stale { exposed_by: s.seq },
                 Some(false) => {}
                 None => malformed = true,
             }
         }
+        // Pass 2 — a FRESH verdict needs the full discipline.
+        // Recency gate: a latest summary older than 2ρ proves nothing about
+        // the recent past — the server may be sitting on newer summaries
+        // that mark this version.
+        if now.saturating_sub(latest.ts) >= window {
+            return Freshness::Indeterminate;
+        }
+        if version_ts > latest.ts {
+            // Newer than the latest bitmap: fresh, worst case ct -
+            // version_ts, bounded by 2ρ via the gate above.
+            return Freshness::FreshWithin(now.saturating_sub(version_ts));
+        }
+        // Anchor: the run must start at or before the period containing
+        // version_ts. Contiguity + recency alone would let a server present
+        // a clean *recent suffix* while withholding the middle summary that
+        // marks this version stale (prefix withholding); anchoring the run's
+        // start closes that. seq 0 is the first summary ever published, so a
+        // run from seq 0 trivially covers everything before it.
+        if self.unanchored_start(version_ts, anchor_seq).is_some() {
+            return Freshness::Indeterminate;
+        }
+        // Contiguity: no withheld summary inside the run.
+        if summaries
+            .iter()
+            .zip(summaries.iter().skip(1))
+            .any(|(a, b)| b.borrow().seq != a.borrow().seq + 1)
+        {
+            return Freshness::Indeterminate;
+        }
+        if malformed {
+            return Freshness::Indeterminate;
+        }
+        Freshness::FreshWithin(now.saturating_sub(latest.ts))
     }
-    // Pass 2 — a FRESH verdict needs the full discipline.
-    // Recency gate: a latest summary older than 2ρ proves nothing about the
-    // recent past — the server may be sitting on newer summaries that mark
-    // this version.
-    if now.saturating_sub(latest.ts) >= window {
-        return Freshness::Indeterminate;
-    }
-    if version_ts > latest.ts {
-        // Newer than the latest bitmap: fresh, worst case ct - version_ts,
-        // bounded by 2ρ via the gate above.
-        return Freshness::FreshWithin(now.saturating_sub(version_ts));
-    }
-    // Anchor: the run must start at or before the period containing
-    // version_ts. Contiguity + recency alone would let a server present a
-    // clean *recent suffix* while withholding the middle summary that marks
-    // this version stale (prefix withholding); anchoring the run's start
-    // closes that. seq 0 is the first summary ever published, so a run from
-    // seq 0 trivially covers everything before it.
-    let Some(first) = summaries.first().map(Borrow::borrow) else {
-        return Freshness::Indeterminate;
-    };
-    if !(first.period_start < version_ts || first.seq == 0 || first.seq == anchor_seq) {
-        return Freshness::Indeterminate;
-    }
-    // Contiguity: no withheld summary inside the run.
-    if summaries
-        .iter()
-        .zip(summaries.iter().skip(1))
-        .any(|(a, b)| b.borrow().seq != a.borrow().seq + 1)
-    {
-        return Freshness::Indeterminate;
-    }
-    if malformed {
-        return Freshness::Indeterminate;
-    }
-    Freshness::FreshWithin(now.saturating_sub(latest.ts))
 }
 
 #[cfg(test)]
@@ -604,6 +520,29 @@ mod tests {
         UpdateSummary::create(kp, 0, 0, seq, start, ts, &b)
     }
 
+    /// A record version's verdict through the single entry point.
+    fn record(
+        rid: u64,
+        ts: Tick,
+        sums: &[UpdateSummary],
+        rho: Tick,
+        now: Tick,
+        anchor_seq: u64,
+    ) -> Freshness {
+        DecodedSummaries::new(sums).check(ts, Mark::Rid(rid), rho, now, anchor_seq)
+    }
+
+    /// A vacancy claim's verdict through the single entry point.
+    fn vacancy(
+        ts: Tick,
+        sums: &[UpdateSummary],
+        rho: Tick,
+        now: Tick,
+        anchor_seq: u64,
+    ) -> Freshness {
+        DecodedSummaries::new(sums).check(ts, Mark::Any, rho, now, anchor_seq)
+    }
+
     #[test]
     fn summary_signature_verifies() {
         let kp = keypair();
@@ -618,7 +557,7 @@ mod tests {
     fn record_newer_than_latest_summary_is_fresh() {
         let kp = keypair();
         let sums = vec![summary(&kp, 0, 0, 10, &[])];
-        let f = check_freshness(7, 15, &sums, 10, 18);
+        let f = record(7, 15, &sums, 10, 18, 0);
         assert_eq!(f, Freshness::FreshWithin(3));
     }
 
@@ -630,7 +569,7 @@ mod tests {
             summary(&kp, 1, 10, 20, &[]), // later periods leave it unmarked
             summary(&kp, 2, 20, 30, &[99]),
         ];
-        let f = check_freshness(7, 5, &sums, 10, 31);
+        let f = record(7, 5, &sums, 10, 31, 0);
         assert!(matches!(f, Freshness::FreshWithin(_)));
     }
 
@@ -640,7 +579,7 @@ mod tests {
         // The summary for (0,10] marks rid 7 because it was updated at ts 5:
         // that marking is this very version.
         let sums = vec![summary(&kp, 0, 0, 10, &[7])];
-        let f = check_freshness(7, 5, &sums, 10, 12);
+        let f = record(7, 5, &sums, 10, 12, 0);
         assert!(matches!(f, Freshness::FreshWithin(_)));
     }
 
@@ -651,7 +590,7 @@ mod tests {
             summary(&kp, 0, 0, 10, &[7]),
             summary(&kp, 1, 10, 20, &[7]), // updated again later
         ];
-        let f = check_freshness(7, 5, &sums, 10, 21);
+        let f = record(7, 5, &sums, 10, 21, 0);
         assert_eq!(f, Freshness::Stale { exposed_by: 1 });
     }
 
@@ -662,7 +601,7 @@ mod tests {
             summary(&kp, 0, 0, 10, &[]),
             summary(&kp, 2, 20, 30, &[]), // seq 1 missing
         ];
-        let f = check_freshness(7, 5, &sums, 10, 31);
+        let f = record(7, 5, &sums, 10, 31, 0);
         assert_eq!(f, Freshness::Indeterminate);
     }
 
@@ -673,10 +612,7 @@ mod tests {
         // the (0, 10] summary that would expose an update in (5, 10] is
         // absent, so the anchored-coverage rule refuses to decide.
         let sums = vec![summary(&kp, 1, 10, 20, &[])];
-        assert_eq!(
-            check_freshness(7, 5, &sums, 10, 21),
-            Freshness::Indeterminate
-        );
+        assert_eq!(record(7, 5, &sums, 10, 21, 0), Freshness::Indeterminate);
     }
 
     #[test]
@@ -694,53 +630,23 @@ mod tests {
             summary(&kp, 3, 30, 40, &[]),
         ];
         assert_eq!(
-            check_freshness(7, 5, &all, 10, 42),
+            record(7, 5, &all, 10, 42, 0),
             Freshness::Stale { exposed_by: 1 }
         );
-        assert_eq!(
-            check_freshness(7, 5, &all[2..], 10, 42),
-            Freshness::Indeterminate
-        );
+        assert_eq!(record(7, 5, &all[2..], 10, 42, 0), Freshness::Indeterminate);
         // Same hole for vacancy claims: the insert-marking summary is in
         // the withheld prefix.
-        assert_eq!(
-            check_vacancy(5, &all[2..], 10, 42),
-            Freshness::Indeterminate
-        );
+        assert_eq!(vacancy(5, &all[2..], 10, 42, 0), Freshness::Indeterminate);
         // An anchored run that includes the exposing summary still decides.
         assert_eq!(
-            check_freshness(7, 5, &all[1..], 10, 42),
+            record(7, 5, &all[1..], 10, 42, 0),
             Freshness::Stale { exposed_by: 1 }
-        );
-    }
-
-    #[test]
-    fn decoded_summaries_match_direct_checks() {
-        let kp = keypair();
-        let sums = vec![
-            summary(&kp, 0, 0, 10, &[7]),
-            summary(&kp, 1, 10, 20, &[7]),
-            summary(&kp, 2, 20, 30, &[99]),
-        ];
-        let decoded = DecodedSummaries::new(&sums);
-        for rid in [7u64, 42, 99] {
-            for ts in [5u64, 15, 25] {
-                assert_eq!(
-                    decoded.check_freshness(rid, ts, 10, 31),
-                    check_freshness(rid, ts, &sums, 10, 31),
-                    "rid {rid} ts {ts}"
-                );
-            }
-        }
-        assert_eq!(
-            decoded.check_vacancy(5, 10, 31),
-            check_vacancy(5, &sums, 10, 31)
         );
     }
 
     #[test]
     fn no_summaries_yet() {
-        let f = check_freshness::<UpdateSummary>(7, 5, &[], 10, 8);
+        let f = record(7, 5, &[], 10, 8, 0);
         assert_eq!(f, Freshness::FreshWithin(3));
     }
 
@@ -757,19 +663,13 @@ mod tests {
             summary(&kp, 2, 20, 30, &[]),
         ];
         assert_eq!(
-            check_freshness(7, 5, &all, 10, 33),
+            record(7, 5, &all, 10, 33, 0),
             Freshness::Stale { exposed_by: 1 }
         );
         let withheld = &all[..1];
-        assert_eq!(
-            check_freshness(7, 5, withheld, 10, 33),
-            Freshness::Indeterminate
-        );
+        assert_eq!(record(7, 5, withheld, 10, 33, 0), Freshness::Indeterminate);
         // Withholding *every* summary is equally indeterminate past 2ρ.
-        assert_eq!(
-            check_freshness::<UpdateSummary>(7, 5, &[], 10, 33),
-            Freshness::Indeterminate
-        );
+        assert_eq!(record(7, 5, &[], 10, 33, 0), Freshness::Indeterminate);
     }
 
     #[test]
@@ -777,13 +677,10 @@ mod tests {
         let kp = keypair();
         let sums = vec![summary(&kp, 0, 0, 10, &[])];
         assert!(matches!(
-            check_freshness(7, 5, &sums, 10, 29),
+            record(7, 5, &sums, 10, 29, 0),
             Freshness::FreshWithin(19)
         ));
-        assert_eq!(
-            check_freshness(7, 5, &sums, 10, 30),
-            Freshness::Indeterminate
-        );
+        assert_eq!(record(7, 5, &sums, 10, 30, 0), Freshness::Indeterminate);
     }
 
     #[test]
@@ -793,7 +690,7 @@ mod tests {
         assert!(proof.verify(&kp.public_params()));
         let sums = vec![summary(&kp, 0, 0, 10, &[]), summary(&kp, 1, 10, 20, &[])];
         assert!(matches!(
-            check_vacancy(proof.ts, &sums, 10, 21),
+            vacancy(proof.ts, &sums, 10, 21, 0),
             Freshness::FreshWithin(_)
         ));
     }
@@ -805,14 +702,14 @@ mod tests {
         // insert in (10, 20] contradicts the vacancy claim.
         let sums = vec![summary(&kp, 0, 0, 10, &[3]), summary(&kp, 1, 10, 20, &[0])];
         assert_eq!(
-            check_vacancy(5, &sums, 10, 21),
+            vacancy(5, &sums, 10, 21, 0),
             Freshness::Stale { exposed_by: 1 }
         );
         // Own-period markings (the deletions that emptied the table) are
         // not a contradiction.
         let benign = vec![summary(&kp, 0, 0, 10, &[3]), summary(&kp, 1, 10, 20, &[])];
         assert!(matches!(
-            check_vacancy(5, &benign, 10, 21),
+            vacancy(5, &benign, 10, 21, 0),
             Freshness::FreshWithin(_)
         ));
     }
@@ -865,39 +762,23 @@ mod tests {
         // seqs 2..=3, whose first period does not cover version_ts = 5.
         let retained = vec![summary(&kp, 2, 20, 30, &[]), summary(&kp, 3, 30, 40, &[])];
         // Without an anchor the suffix reads as prefix withholding.
-        assert_eq!(
-            check_freshness(7, 5, &retained, 10, 42),
-            Freshness::Indeterminate
-        );
+        assert_eq!(record(7, 5, &retained, 10, 42, 0), Freshness::Indeterminate);
         // With the checkpoint anchor (through_seq 1 → anchor 2) it decides.
         assert!(matches!(
-            check_freshness_anchored(7, 5, &retained, 10, 42, 2),
+            record(7, 5, &retained, 10, 42, 2),
             Freshness::FreshWithin(_)
         ));
         // A run starting past the anchor is still a gap.
         assert_eq!(
-            check_freshness_anchored(7, 5, &retained[1..], 10, 42, 2),
+            record(7, 5, &retained[1..], 10, 42, 2),
             Freshness::Indeterminate
         );
         // Vacancy gets the same anchoring.
         assert!(matches!(
-            check_vacancy_anchored(5, &retained, 10, 42, 2),
+            vacancy(5, &retained, 10, 42, 2),
             Freshness::FreshWithin(_)
         ));
-        assert_eq!(
-            check_vacancy(5, &retained, 10, 42),
-            Freshness::Indeterminate
-        );
-        // DecodedSummaries agrees with the direct checks.
-        let decoded = DecodedSummaries::new(&retained);
-        assert_eq!(
-            decoded.check_freshness_anchored(7, 5, 10, 42, 2),
-            check_freshness_anchored(7, 5, &retained, 10, 42, 2)
-        );
-        assert_eq!(
-            decoded.check_vacancy_anchored(5, 10, 42, 2),
-            check_vacancy_anchored(5, &retained, 10, 42, 2)
-        );
+        assert_eq!(vacancy(5, &retained, 10, 42, 0), Freshness::Indeterminate);
     }
 
     #[test]
@@ -909,7 +790,7 @@ mod tests {
             summary(&kp, 0, 0, 10, &[]),
             summary(&kp, 1, 10, 20, &[42]), // deletion of rid 42
         ];
-        let f = check_freshness(42, 5, &sums, 10, 25);
+        let f = record(42, 5, &sums, 10, 25, 0);
         assert_eq!(f, Freshness::Stale { exposed_by: 1 });
     }
 }

@@ -577,11 +577,6 @@ impl QueryServer {
         &self.pp
     }
 
-    /// The index height (I/O-cost diagnostics).
-    pub fn tree_height(&self) -> usize {
-        self.tree.height()
-    }
-
     /// I/O counters of the server's disk.
     pub fn io_stats(&self) -> IoStats {
         self.heap_pool_stats()

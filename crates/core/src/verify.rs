@@ -109,16 +109,18 @@
 //! [`Verifier::verify_selection_batch`] goes further and folds many
 //! answers into a *single* random-linear-combination multi-pairing.
 
+use std::borrow::Borrow;
+
 use authdb_crypto::sha256::Digest;
 use authdb_crypto::signer::{PublicParams, Signature};
 
 use crate::freshness::{
-    DecodedSummaries, EmptyTableProof, Freshness, SummaryCheckpoint, UpdateSummary,
+    DecodedSummaries, EmptyTableProof, Freshness, Mark, SummaryCheckpoint, UpdateSummary,
 };
 use crate::qs::{ProjectionAnswer, SelectionAnswer};
 use crate::record::{Record, Schema, Tick, KEY_NEG_INF, KEY_POS_INF};
 use crate::shard::{
-    EpochBootstrap, EpochCheckpoint, EpochTransition, ShardMap, ShardedSelectionAnswer,
+    EpochBootstrap, EpochCheckpoint, EpochTransition, ShardMap, ShardScope, ShardedSelectionAnswer,
     GENESIS_EPOCH,
 };
 
@@ -515,143 +517,107 @@ impl Verifier {
         &self.pp
     }
 
-    /// Check every attached summary's own signature. Generic over how the
-    /// summaries are held (answers share them by `Arc`).
-    fn check_summaries<S: std::borrow::Borrow<UpdateSummary>>(
+    /// Every freshness decision an answer needs, made in one call: check
+    /// each attached summary's own signature, decode the bitmaps once, then
+    /// decide each `(ts, mark)` version with [`Verifier::staleness_bound`].
+    /// Returns the largest staleness bound. Generic over how the summaries
+    /// are held (answers share them by `Arc`).
+    fn max_staleness<S: Borrow<UpdateSummary>>(
         &self,
         summaries: &[S],
-    ) -> Result<(), VerifyError> {
+        ckpt: Option<&SummaryCheckpoint>,
+        versions: impl IntoIterator<Item = (Tick, Mark)>,
+        now: Tick,
+    ) -> Result<Tick, VerifyError> {
         for s in summaries {
             let s = s.borrow();
             if !s.verify(&self.pp) {
                 return Err(VerifyError::BadSummarySignature { seq: s.seq });
             }
         }
-        Ok(())
+        let decoded = DecodedSummaries::new(summaries);
+        let mut max = 0;
+        for (ts, mark) in versions {
+            max = max.max(self.staleness_bound(ts, mark, &decoded, ckpt, now)?);
+        }
+        Ok(max)
     }
 
-    /// One record's freshness decision against already-verified,
+    /// One version's freshness decision against already-verified,
     /// once-decoded summaries — plus, when the answer shipped one, the
     /// already-signature-checked [`SummaryCheckpoint`] standing in for the
-    /// compacted prefix — mapped into the error domain.
+    /// compacted prefix — mapped into the record error family
+    /// ([`Mark::Rid`]) or the vacancy one ([`Mark::Any`]).
     ///
     /// With a checkpoint the decision runs in the same two passes as the
     /// uncompacted algorithm, split across the cut: pass 1 against the
-    /// prefix is the exposure-map lookup (the per-rid maximum marked
-    /// `period_start`, so exactly the predicate the dropped summaries would
-    /// have evaluated — [`VerifyError::StaleCheckpoint`] on a hit), then
-    /// the retained run is checked with the cut as a valid anchor
-    /// (`through_seq + 1`). A run that fails to anchor at the cut is the
-    /// seam attack, [`VerifyError::CheckpointGap`]; an *empty* run rides on
-    /// the cut's own recency (`through_ts`), judged by the same 2ρ gate as
-    /// a real latest summary.
-    fn freshness_of<S: std::borrow::Borrow<UpdateSummary>>(
+    /// prefix is the exposure-map lookup (the maximum marked
+    /// `period_start` for the rid — or for any rid, since while the table
+    /// is empty any marking is an insertion — so exactly the predicate the
+    /// dropped summaries would have evaluated;
+    /// [`VerifyError::StaleCheckpoint`] on a hit), then the retained run is
+    /// checked with the cut as a valid anchor (`through_seq + 1`). A run
+    /// that fails to anchor at the cut is the seam attack,
+    /// [`VerifyError::CheckpointGap`]; an *empty* run rides on the cut's
+    /// own recency (`through_ts`), judged by the same 2ρ gate as a real
+    /// latest summary.
+    fn staleness_bound<S: Borrow<UpdateSummary>>(
         &self,
-        rid: u64,
         ts: Tick,
+        mark: Mark,
         decoded: &DecodedSummaries<'_, S>,
         ckpt: Option<&SummaryCheckpoint>,
         now: Tick,
     ) -> Result<Tick, VerifyError> {
-        let Some(ckpt) = ckpt else {
-            return match decoded.check_freshness(rid, ts, self.rho, now) {
-                Freshness::FreshWithin(b) => Ok(b),
-                Freshness::Stale { exposed_by } => Err(VerifyError::Stale { rid, exposed_by }),
-                Freshness::Indeterminate => Err(VerifyError::FreshnessIndeterminate { rid }),
-            };
+        let indeterminate = match mark {
+            Mark::Rid(rid) => VerifyError::FreshnessIndeterminate { rid },
+            Mark::Any => VerifyError::VacancyIndeterminate,
         };
-        if ckpt.exposed_after(rid).is_some_and(|p| ts <= p) {
-            return Err(VerifyError::StaleCheckpoint { rid });
-        }
-        if decoded.is_empty() {
-            if now.saturating_sub(ckpt.through_ts) >= self.rho.saturating_mul(2) {
-                return Err(VerifyError::FreshnessIndeterminate { rid });
-            }
-            return Ok(now.saturating_sub(ts.max(ckpt.through_ts)));
-        }
-        let anchor_seq = ckpt.through_seq + 1;
-        match decoded.check_freshness_anchored(rid, ts, self.rho, now, anchor_seq) {
-            Freshness::FreshWithin(b) => Ok(b),
-            Freshness::Stale { exposed_by } => Err(VerifyError::Stale { rid, exposed_by }),
-            Freshness::Indeterminate => Err(self.seam_or_indeterminate(
-                ts,
-                decoded.first(),
-                anchor_seq,
-                VerifyError::FreshnessIndeterminate { rid },
-            )),
-        }
-    }
-
-    /// A vacancy claim's currency decision, checkpoint-aware like
-    /// [`Verifier::freshness_of`]. While the table is empty any marking is
-    /// an insertion, so the prefix check is the exposure map's *global*
-    /// maximum ([`SummaryCheckpoint::exposed_any`]) against the proof's
-    /// `ts`.
-    fn vacancy_of<S: std::borrow::Borrow<UpdateSummary>>(
-        &self,
-        proof_ts: Tick,
-        decoded: &DecodedSummaries<'_, S>,
-        ckpt: Option<&SummaryCheckpoint>,
-        now: Tick,
-    ) -> Result<Tick, VerifyError> {
-        let Some(ckpt) = ckpt else {
-            return match decoded.check_vacancy(proof_ts, self.rho, now) {
-                Freshness::FreshWithin(b) => Ok(b),
-                Freshness::Stale { exposed_by } => Err(VerifyError::StaleVacancy { exposed_by }),
-                Freshness::Indeterminate => Err(VerifyError::VacancyIndeterminate),
+        let mut anchor_seq = 0;
+        if let Some(ckpt) = ckpt {
+            let exposed = match mark {
+                Mark::Rid(rid) => ckpt.exposed_after(rid),
+                Mark::Any => ckpt.exposed_any(),
             };
-        };
-        if ckpt.exposed_any().is_some_and(|p| proof_ts <= p) {
-            // Name the rid whose (latest) recorded insertion voided the
-            // claim — the compacted analogue of StaleVacancy's exposing seq.
-            let rid = ckpt
-                .exposure
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, &e)| e)
-                .map(|(i, _)| i as u64)
-                .unwrap_or(0);
-            return Err(VerifyError::StaleCheckpoint { rid });
-        }
-        if decoded.is_empty() {
-            if now.saturating_sub(ckpt.through_ts) >= self.rho.saturating_mul(2) {
-                return Err(VerifyError::VacancyIndeterminate);
+            if exposed.is_some_and(|p| ts <= p) {
+                let rid = match mark {
+                    Mark::Rid(rid) => rid,
+                    // Name the rid whose (latest) recorded insertion voided
+                    // the claim — the compacted analogue of StaleVacancy's
+                    // exposing seq.
+                    Mark::Any => ckpt
+                        .exposure
+                        .iter()
+                        .enumerate()
+                        .max_by_key(|&(_, &e)| e)
+                        .map(|(i, _)| i as u64)
+                        .unwrap_or(0),
+                };
+                return Err(VerifyError::StaleCheckpoint { rid });
             }
-            return Ok(now.saturating_sub(proof_ts.max(ckpt.through_ts)));
-        }
-        let anchor_seq = ckpt.through_seq + 1;
-        match decoded.check_vacancy_anchored(proof_ts, self.rho, now, anchor_seq) {
-            Freshness::FreshWithin(b) => Ok(b),
-            Freshness::Stale { exposed_by } => Err(VerifyError::StaleVacancy { exposed_by }),
-            Freshness::Indeterminate => Err(self.seam_or_indeterminate(
-                proof_ts,
-                decoded.first(),
-                anchor_seq,
-                VerifyError::VacancyIndeterminate,
-            )),
-        }
-    }
-
-    /// Attribute a checkpoint-anchored Indeterminate verdict: if the run's
-    /// first summary fails every anchor clause (its period does not cover
-    /// `version_ts`, it is not seq 0, and it does not resume at the cut),
-    /// the seam between checkpoint and run is unproven — that is
-    /// [`VerifyError::CheckpointGap`], not plain recency withholding.
-    fn seam_or_indeterminate(
-        &self,
-        version_ts: Tick,
-        first: Option<&UpdateSummary>,
-        anchor_seq: u64,
-        fallback: VerifyError,
-    ) -> VerifyError {
-        match first {
-            Some(f) if !(f.period_start < version_ts || f.seq == 0 || f.seq == anchor_seq) => {
-                VerifyError::CheckpointGap {
-                    expected_seq: anchor_seq,
-                    found_seq: f.seq,
+            if decoded.is_empty() {
+                if now.saturating_sub(ckpt.through_ts) >= self.rho.saturating_mul(2) {
+                    return Err(indeterminate);
                 }
+                return Ok(now.saturating_sub(ts.max(ckpt.through_ts)));
             }
-            _ => fallback,
+            anchor_seq = ckpt.through_seq + 1;
+        }
+        match decoded.check(ts, mark, self.rho, now, anchor_seq) {
+            Freshness::FreshWithin(b) => Ok(b),
+            Freshness::Stale { exposed_by } => Err(match mark {
+                Mark::Rid(rid) => VerifyError::Stale { rid, exposed_by },
+                Mark::Any => VerifyError::StaleVacancy { exposed_by },
+            }),
+            // With a checkpoint, a run whose start fails every anchor clause
+            // leaves the seam between cut and run unproven — that is a
+            // checkpoint gap, not plain recency withholding.
+            Freshness::Indeterminate => Err(ckpt
+                .and_then(|_| decoded.unanchored_start(ts, anchor_seq))
+                .map_or(indeterminate, |found_seq| VerifyError::CheckpointGap {
+                    expected_seq: anchor_seq,
+                    found_seq,
+                })),
         }
     }
 
@@ -755,10 +721,8 @@ impl Verifier {
                 // chain record must not keep denying the range.
                 let mut max_staleness = 0;
                 if check_fresh {
-                    self.check_summaries(&ans.summaries)?;
-                    let decoded = DecodedSummaries::new(&ans.summaries);
-                    max_staleness =
-                        self.freshness_of(gap.record.rid, gap.record.ts, &decoded, ckpt, now)?;
+                    let version = (gap.record.ts, Mark::Rid(gap.record.rid));
+                    max_staleness = self.max_staleness(&ans.summaries, ckpt, [version], now)?;
                 }
                 return Ok(AnswerClaim {
                     messages: vec![gap.chain_msg(&self.schema)],
@@ -772,9 +736,8 @@ impl Verifier {
             if let Some(vac) = &ans.vacancy {
                 let mut max_staleness = 0;
                 if check_fresh {
-                    self.check_summaries(&ans.summaries)?;
-                    let decoded = DecodedSummaries::new(&ans.summaries);
-                    max_staleness = self.vacancy_of(vac.ts, &decoded, ckpt, now)?;
+                    let version = (vac.ts, Mark::Any);
+                    max_staleness = self.max_staleness(&ans.summaries, ckpt, [version], now)?;
                 }
                 return Ok(AnswerClaim {
                     messages: vec![EmptyTableProof::message(vac.epoch, vac.shard, vac.ts)],
@@ -818,12 +781,8 @@ impl Verifier {
         // against the decoded set.
         let mut max_staleness = 0;
         if check_fresh {
-            self.check_summaries(&ans.summaries)?;
-            let decoded = DecodedSummaries::new(&ans.summaries);
-            for r in &ans.records {
-                let b = self.freshness_of(r.rid, r.ts, &decoded, ckpt, now)?;
-                max_staleness = max_staleness.max(b);
-            }
+            let versions = ans.records.iter().map(|r| (r.ts, Mark::Rid(r.rid)));
+            max_staleness = self.max_staleness(&ans.summaries, ckpt, versions, now)?;
         }
 
         // Reconstruct every chained message; the neighbour of the first/last
@@ -891,21 +850,11 @@ impl Verifier {
                 Err(error) => return Err(BatchFailure { index, error }),
             }
         }
-        let batch: Vec<(&[Vec<u8>], &Signature)> = claims
-            .iter()
-            .map(|c| (c.messages.as_slice(), &c.agg))
-            .collect();
-        if !self.pp.verify_aggregate_batch(&batch, rng) {
-            // Localize: the RLC says at least one aggregate is bad.
-            for (index, c) in claims.iter().enumerate() {
-                let refs: Vec<&[u8]> = c.messages.iter().map(|m| m.as_slice()).collect();
-                if !self.pp.verify_aggregate(&refs, &c.agg) {
-                    return Err(BatchFailure {
-                        index,
-                        error: VerifyError::BadAggregate,
-                    });
-                }
-            }
+        if let Some(index) = self.first_bad_claim(&claims, rng) {
+            return Err(BatchFailure {
+                index,
+                error: VerifyError::BadAggregate,
+            });
         }
         Ok(claims.into_iter().map(|c| c.report).collect())
     }
@@ -1057,28 +1006,17 @@ impl Verifier {
             // shard's own stream *in this epoch* — another shard's (or
             // another epoch's) genuinely-signed summaries say nothing
             // about this shard's rids under the pinned partition.
-            if a.summaries.iter().any(|s| s.epoch != scope.epoch) {
-                return Err(VerifyError::EpochMismatch { shard });
-            }
-            if a.summaries.iter().any(|s| s.shard != scope.shard) {
-                return Err(VerifyError::ShardMismatch { shard });
-            }
-            if let Some(v) = a.vacancy.as_ref() {
-                if v.epoch != scope.epoch {
-                    return Err(VerifyError::EpochMismatch { shard });
-                }
-                if v.shard != scope.shard {
-                    return Err(VerifyError::ShardMismatch { shard });
-                }
-            }
-            if let Some(c) = a.checkpoint.as_ref() {
-                if c.epoch != scope.epoch {
-                    return Err(VerifyError::EpochMismatch { shard });
-                }
-                if c.shard != scope.shard {
-                    return Err(VerifyError::ShardMismatch { shard });
-                }
-            }
+            check_tags(
+                a.summaries.iter().map(|s| (s.epoch, s.shard)),
+                &scope,
+                shard,
+            )?;
+            check_tags(a.vacancy.iter().map(|v| (v.epoch, v.shard)), &scope, shard)?;
+            check_tags(
+                a.checkpoint.iter().map(|c| (c.epoch, c.shard)),
+                &scope,
+                shard,
+            )?;
             // Seam containment: the DA never signs a neighbour value
             // outside the fences, so a claimed boundary past them is a
             // forgery — caught here before any pairing work.
@@ -1096,20 +1034,27 @@ impl Verifier {
             });
             claims.push(claim);
         }
+        if self.first_bad_claim(&claims, rng).is_some() {
+            return Err(VerifyError::BadAggregate);
+        }
+        Ok(PartialVerdict { tiles, report })
+    }
+
+    /// Fold every claim's aggregate into one random-linear-combination
+    /// multi-pairing (coefficients drawn from `rng`); on a mismatch, re-check
+    /// each claim alone and return the index of the first bad one.
+    fn first_bad_claim(&self, claims: &[AnswerClaim], rng: &mut impl rand::Rng) -> Option<usize> {
         let batch: Vec<(&[Vec<u8>], &Signature)> = claims
             .iter()
             .map(|c| (c.messages.as_slice(), &c.agg))
             .collect();
-        if !self.pp.verify_aggregate_batch(&batch, rng) {
-            // Localize: at least one shard's aggregate is bad.
-            for c in &claims {
-                let refs: Vec<&[u8]> = c.messages.iter().map(|m| m.as_slice()).collect();
-                if !self.pp.verify_aggregate(&refs, &c.agg) {
-                    return Err(VerifyError::BadAggregate);
-                }
-            }
+        if self.pp.verify_aggregate_batch(&batch, rng) {
+            return None;
         }
-        Ok(PartialVerdict { tiles, report })
+        claims.iter().position(|c| {
+            let refs: Vec<&[u8]> = c.messages.iter().map(|m| m.as_slice()).collect();
+            !self.pp.verify_aggregate(&refs, &c.agg)
+        })
     }
 
     /// Verify a projection answer (Section 3.4): every `(rid, attr, value,
@@ -1125,12 +1070,8 @@ impl Verifier {
     ) -> Result<VerifyReport, VerifyError> {
         let mut max_staleness = 0;
         if check_fresh {
-            self.check_summaries(&ans.summaries)?;
-            let decoded = DecodedSummaries::new(&ans.summaries);
-            for row in &ans.rows {
-                let b = self.freshness_of(row.rid, row.ts, &decoded, None, now)?;
-                max_staleness = max_staleness.max(b);
-            }
+            let versions = ans.rows.iter().map(|row| (row.ts, Mark::Rid(row.rid)));
+            max_staleness = self.max_staleness(&ans.summaries, None, versions, now)?;
         }
         let mut messages = Vec::new();
         for row in &ans.rows {
@@ -1163,6 +1104,24 @@ impl Verifier {
             records: ans.rows.len(),
         })
     }
+}
+
+/// Domain binding for one kind of freshness artifact attached to `shard`'s
+/// answer: every `(epoch, shard)` tag must name the answering shard's
+/// scope. A wrong epoch anywhere is [`VerifyError::EpochMismatch`], checked
+/// before a wrong shard ([`VerifyError::ShardMismatch`]).
+fn check_tags(
+    mut tags: impl Iterator<Item = (u64, u64)> + Clone,
+    scope: &ShardScope,
+    shard: usize,
+) -> Result<(), VerifyError> {
+    if tags.clone().any(|(epoch, _)| epoch != scope.epoch) {
+        return Err(VerifyError::EpochMismatch { shard });
+    }
+    if tags.any(|(_, s)| s != scope.shard) {
+        return Err(VerifyError::ShardMismatch { shard });
+    }
+    Ok(())
 }
 
 /// The distilled signature claim of one analyzed answer: the messages the
@@ -1524,6 +1483,61 @@ mod tests {
         assert_eq!(honest.records.len(), 1);
         assert!(honest.checkpoint.is_some());
         assert!(v.verify_selection(0, 100, &honest, da.now(), true).is_ok());
+    }
+
+    /// An empty table (vacancy proof at ts 0) with three published
+    /// summaries — none marking anything — and the prefix compacted into a
+    /// checkpoint with `keep` summaries retained.
+    fn checkpointed_vacancy(keep: usize) -> (DataAggregator, QueryServer, Verifier) {
+        let (mut da, mut qs, v) = system(0, SigningMode::Chained);
+        for dt in [12, 10, 10] {
+            da.advance_clock(dt);
+            let (s, _) = da.maybe_publish_summary().unwrap();
+            qs.add_summary(s);
+        }
+        let ckpt = da.checkpoint_summaries(keep).expect("compactable");
+        qs.apply_checkpoint(ckpt);
+        (da, qs, v)
+    }
+
+    #[test]
+    fn vacancy_anchors_on_the_checkpoint_like_records_do() {
+        // keep = 2: the cut is seq 0; the retained run is seqs 1..=2.
+        let (da, qs, v) = checkpointed_vacancy(2);
+        let honest = qs.select_range(0, 100).unwrap();
+        assert!(honest.vacancy.is_some() && honest.checkpoint.is_some());
+        assert_eq!(honest.summaries.len(), 2);
+        assert!(v.verify_selection(0, 100, &honest, da.now(), true).is_ok());
+        // A retained run resuming past the cut leaves seq 1 covered by
+        // nobody: the seam failure is typed on the vacancy path too.
+        let mut gappy = honest;
+        gappy.summaries.remove(0);
+        assert_eq!(
+            v.verify_selection(0, 100, &gappy, da.now(), true),
+            Err(VerifyError::CheckpointGap {
+                expected_seq: 1,
+                found_seq: 2
+            })
+        );
+
+        // keep = 1: through_ts is the second summary's tick (22), the clock
+        // stands at 32, and the vacancy proof dates from ts 0.
+        let (da, qs, v) = checkpointed_vacancy(1);
+        let mut bare = qs.select_range(0, 100).unwrap();
+        bare.summaries.clear();
+        let vacancy_ts = bare.vacancy.as_ref().unwrap().ts;
+        let through_ts = bare.checkpoint.as_ref().unwrap().through_ts;
+        assert_eq!((vacancy_ts, through_ts, da.now()), (0, 22, 32));
+        // Within 2ρ of the cut an empty run rides on the checkpoint.
+        let rep = v
+            .verify_selection(0, 100, &bare, da.now(), true)
+            .expect("within 2ρ of the cut");
+        assert_eq!(rep.max_staleness, da.now() - vacancy_ts.max(through_ts));
+        // Past 2ρ the recency gate refuses.
+        assert_eq!(
+            v.verify_selection(0, 100, &bare, da.now() + 10, true),
+            Err(VerifyError::VacancyIndeterminate)
+        );
     }
 
     #[test]

@@ -382,7 +382,7 @@ fn rule_decode(models: &[FileModel], diags: &mut Vec<Diagnostic>) {
                 };
                 let owned = ix.owned.get(&(owner, name)).cloned().unwrap_or_default();
                 if owned.is_empty() && q.chars().next().is_some_and(char::is_lowercase) {
-                    // Module-qualified free-fn call (`freshness::check_marks`).
+                    // Module-qualified free-fn call (`bitmap::decompress`).
                     ix.free_any.get(name).cloned().unwrap_or_default()
                 } else {
                     owned
@@ -952,7 +952,7 @@ pub enum VerifyError { BadCheckpoint, CheckpointGap, StaleCheckpoint }
 
     #[test]
     fn wall_clock_flagged_in_verify_files() {
-        let src = "fn freshness_of(&self) -> bool { let now = Instant::now(); true }";
+        let src = "fn fresh_within(&self) -> bool { let now = Instant::now(); true }";
         let a = analyze(&one("crates/core/src/verify.rs", src));
         assert!(a.diagnostics.iter().any(|d| d.rule == RULE_CLOCK));
         let a = analyze(&one("crates/core/src/qs.rs", src));

@@ -265,7 +265,7 @@ proptest! {
         // every 10 ticks: any version except the newest within the probe
         // window must be flagged stale once a later period marks the rid;
         // the newest version must never be flagged.
-        use authdb::core::freshness::{check_freshness, Freshness, UpdateSummary};
+        use authdb::core::freshness::{DecodedSummaries, Freshness, Mark, UpdateSummary};
         use authdb::crypto::signer::Keypair;
         use authdb::filters::bitmap::Bitmap;
         let mut rng = StdRng::seed_from_u64(1);
@@ -291,7 +291,7 @@ proptest! {
         }
         let v = versions[probe_version % versions.len()];
         let newest = *versions.last().expect("nonempty");
-        let f = check_freshness(3, v, &summaries, rho, horizon + 1);
+        let f = DecodedSummaries::new(&summaries).check(v, Mark::Rid(3), rho, horizon + 1, 0);
         // The newest version is never stale.
         if v == newest {
             prop_assert!(matches!(f, Freshness::FreshWithin(_)), "newest flagged: {f:?}");
